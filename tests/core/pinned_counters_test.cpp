@@ -1,0 +1,157 @@
+// Pinned search counters for core::analyze: every stored trace under
+// traces/ × the four relative-order presets (§2.4.2) × state hashing
+// off/on (§4.2), plus the edited TP0 paper trace (§4.2's exponential
+// refutation) and a few rows clipped by each budget. Each row records the
+// verdict, reason, solution and note with TE/GE/RE/SA and the secondary
+// counters, one tab-separated line per analysis. Any change to the search
+// order, the save/restore discipline, pruning or budget placement shows up
+// as a reviewed golden diff. Regenerate with:
+//   TANGO_UPDATE_GOLDENS=1 ctest -R PinnedCounters
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/dfs.hpp"
+#include "sim/mutate.hpp"
+#include "sim/workloads.hpp"
+#include "specs/builtin_specs.hpp"
+#include "trace/trace_io.hpp"
+
+namespace tango::core {
+namespace {
+
+const char* const kHeader =
+    "case\tverdict\treason\tte\tge\tre\tsa\tpruned\tmax_depth\tstatic_skips"
+    "\ttrail_entries\tcheckpoint_bytes\tsolution\tnote";
+
+std::string read_file(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  std::stringstream ss;
+  ss << file.rdbuf();
+  return ss.str();
+}
+
+/// Keeps one row per line and the columns tab-separated.
+std::string flat(std::string s) {
+  std::replace(s.begin(), s.end(), '\t', ' ');
+  std::replace(s.begin(), s.end(), '\n', ' ');
+  return s;
+}
+
+std::string row(const std::string& name, const DfsResult& r) {
+  const Stats& s = r.stats;
+  std::string solution;
+  for (const std::string& t : r.solution) {
+    solution += (solution.empty() ? "" : " ") + t;
+  }
+  std::ostringstream os;
+  os << name << '\t' << to_string(r.verdict) << '\t' << to_string(r.reason)
+     << '\t' << s.transitions_executed << '\t' << s.generates << '\t'
+     << s.restores << '\t' << s.saves << '\t' << s.pruned_by_hash << '\t'
+     << s.max_depth << '\t' << s.static_skips << '\t' << s.trail_entries
+     << '\t' << s.checkpoint_bytes << '\t' << flat(solution) << '\t'
+     << flat(r.note);
+  return os.str();
+}
+
+/// One row per relative-order preset (§2.4.2) x state hashing off/on.
+void add_preset_rows(std::vector<std::string>& rows, const std::string& prefix,
+                     const est::Spec& spec, const tr::Trace& trace,
+                     bool initial_state_search) {
+  for (const auto& [name, preset] :
+       {std::pair{"NR", Options::none()}, std::pair{"IO", Options::io()},
+        std::pair{"IP", Options::ip()}, std::pair{"FULL", Options::full()}}) {
+    for (const bool hash : {false, true}) {
+      Options options = preset;
+      options.hash_states = hash;
+      options.max_transitions = 200'000;
+      options.initial_state_search = initial_state_search;
+      rows.push_back(row(prefix + "/" + name + (hash ? "/hash" : ""),
+                         analyze(spec, trace, options)));
+    }
+  }
+}
+
+/// The whole table, recorded from the current engine.
+std::vector<std::string> record_table() {
+  std::vector<std::string> rows{kHeader};
+
+  std::vector<std::string> files;
+  for (const auto& e : std::filesystem::directory_iterator(TANGO_TRACES_DIR)) {
+    if (e.path().extension() == ".tr") files.push_back(e.path().filename());
+  }
+  std::sort(files.begin(), files.end());
+  for (const std::string& file : files) {
+    // Trace files are named <spec>_<what>.tr after the builtin they test.
+    const std::string spec_name = file.substr(0, file.find('_'));
+    est::Spec spec = est::compile_spec(specs::builtin_spec(spec_name));
+    tr::Trace trace = tr::parse_trace(
+        spec, read_file(std::string(TANGO_TRACES_DIR) + "/" + file));
+    // A mid-stream capture only matches from a non-initial state.
+    add_preset_rows(rows, file, spec, trace, file == "lapd_midstream.tr");
+  }
+
+  // §4.2's invalid TP0 trace: its refutation tree is where the search
+  // order, restores and pruning all matter.
+  est::Spec tp0 = est::compile_spec(specs::tp0());
+  const tr::Trace edited =
+      sim::mutate_last_output_param(sim::tp0_paper_trace(tp0, 6));
+  add_preset_rows(rows, "tp0_edited_n6", tp0, edited, false);
+
+  // Budget clips. Every row checkpoints by trail: copy mode charges
+  // checkpoint_bytes by sizeof, which differs between build types.
+  struct Clip {
+    const char* name;
+    std::uint64_t max_transitions;
+    int max_depth;
+    std::uint64_t max_memory;
+    bool hash;
+  };
+  for (const Clip& c : {Clip{"max_transitions=50", 50, 0, 0, false},
+                        Clip{"max_transitions=50/hash", 50, 0, 0, true},
+                        Clip{"max_depth=9", 0, 9, 0, false},
+                        Clip{"max_depth=9/hash", 0, 9, 0, true},
+                        Clip{"max_memory=4096", 0, 0, 4096, false},
+                        Clip{"max_memory=4096/hash", 0, 0, 4096, true}}) {
+    Options options = Options::io();
+    options.max_transitions = c.max_transitions;
+    options.max_depth = c.max_depth;
+    options.max_memory = c.max_memory;
+    options.hash_states = c.hash;
+    rows.push_back(row(std::string("tp0_edited_n6/IO/") + c.name,
+                       analyze(tp0, edited, options)));
+  }
+  return rows;
+}
+
+TEST(PinnedCounters, AnalyzeMatchesGoldenTable) {
+  const std::vector<std::string> got = record_table();
+  const std::string path =
+      std::string(TANGO_CORE_GOLDEN_DIR) + "/dfs_counters.tsv";
+  if (std::getenv("TANGO_UPDATE_GOLDENS") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    for (const std::string& line : got) out << line << '\n';
+    GTEST_SKIP() << "golden rewritten: " << path;
+  }
+
+  std::vector<std::string> want;
+  std::istringstream is(read_file(path));
+  for (std::string line; std::getline(is, line);) {
+    if (!line.empty()) want.push_back(line);
+  }
+  ASSERT_FALSE(want.empty()) << "missing golden " << path
+                             << " (set TANGO_UPDATE_GOLDENS=1 to create)";
+  for (std::size_t i = 0; i < got.size() && i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "row " << i;
+  }
+  EXPECT_EQ(got.size(), want.size());
+}
+
+}  // namespace
+}  // namespace tango::core
