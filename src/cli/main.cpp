@@ -173,13 +173,15 @@ analysis options:
                                     recursive walk (differential oracle);
                                     both yield identical hash values
   --jobs=<n>                        worker threads (default 1; 0 = one per
-                                    hardware thread). For analyze, >1 runs
-                                    the work-stealing parallel DFS; for
-                                    fuzz, iterations run concurrently
-  --deterministic                   with --jobs>1: fixed branch ownership +
-                                    per-task pruning/budgets so verdict and
-                                    every counter are run-to-run identical
-                                    (slower; see docs/PARALLEL.md)
+                                    hardware thread). For analyze, >1
+                                    spreads the DFS over work-stealing
+                                    workers; for fuzz, iterations run
+                                    concurrently
+  --deterministic                   fixed branch ownership + per-task
+                                    pruning/budgets so verdict and every
+                                    counter are run-to-run identical for
+                                    any --jobs (slower; see
+                                    docs/PARALLEL.md)
   --visited-max=<n>                 bound the --hash-states table to n
                                     entries; overflow evicts a random hash
                                     (0 = unlimited, the default)
@@ -737,9 +739,7 @@ int cmd_analyze(const Cli& cli) {
                      trace_ref_for(cli.events_path, cli.positional[1]));
     options.sink = events.get();
   }
-  core::DfsResult result = options.jobs != 1
-                               ? core::analyze_parallel(spec, trace, options)
-                               : core::analyze(spec, trace, options);
+  core::DfsResult result = core::analyze_parallel(spec, trace, options);
   if (events != nullptr) {
     events.reset();  // flush the stream before reporting
     std::cerr << "events:  " << cli.events_path << "\n";
@@ -801,7 +801,8 @@ int cmd_simulate(const Cli& cli) {
 
   std::vector<sim::Feed> feeds;
   std::uint32_t line_no = 0;
-  for (std::string_view raw : split(read_file(cli.script), '\n')) {
+  const std::string script = read_file(cli.script);  // outlives the views
+  for (std::string_view raw : split(script, '\n')) {
     ++line_no;
     std::string_view line = trim(raw);
     if (line.empty() || line.front() == '#') continue;

@@ -172,4 +172,15 @@ InitResult apply_initializer(rt::Interp& interp, const tr::Trace& trace,
   return out;
 }
 
+std::vector<int> start_states(const est::Spec& spec, const Options& options,
+                              int initial) {
+  std::vector<int> states{initial};
+  if (options.initial_state_search) {
+    for (int s = 0; s < static_cast<int>(spec.states.size()); ++s) {
+      if (s != initial) states.push_back(s);
+    }
+  }
+  return states;
+}
+
 }  // namespace tango::core

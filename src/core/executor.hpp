@@ -6,6 +6,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/generator.hpp"
@@ -85,5 +86,13 @@ struct InitResult {
                                            const tr::Trace& trace,
                                            const ResolvedOptions& ro,
                                            std::size_t index, Stats& stats);
+
+/// §2.4.1: the FSM states a search starts from after an initializer left
+/// the machine in state `initial` — that state first, then, with
+/// initial_state_search, every other state in declaration order, the
+/// variables left exactly as the initialize block set them.
+[[nodiscard]] std::vector<int> start_states(const est::Spec& spec,
+                                            const Options& options,
+                                            int initial);
 
 }  // namespace tango::core

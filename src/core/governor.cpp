@@ -40,4 +40,14 @@ InconclusiveReason ResourceGovernor::check(const Stats& stats) {
   return InconclusiveReason::None;
 }
 
+InconclusiveReason exceeded_budget(const Options& options,
+                                   ResourceGovernor& governor,
+                                   const Stats& stats) {
+  if (options.max_transitions != 0 &&
+      stats.transitions_executed >= options.max_transitions) {
+    return InconclusiveReason::Transitions;
+  }
+  return governor.armed() ? governor.check(stats) : InconclusiveReason::None;
+}
+
 }  // namespace tango::core

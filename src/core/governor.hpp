@@ -59,4 +59,11 @@ class ResourceGovernor {
   std::uint32_t until_sample_ = 0;
 };
 
+/// The budget check a search makes over its own counters at each
+/// generate/backtrack boundary: the transition budget, then the
+/// governor's memory and deadline budgets. None while within all three.
+[[nodiscard]] InconclusiveReason exceeded_budget(const Options& options,
+                                                 ResourceGovernor& governor,
+                                                 const Stats& stats);
+
 }  // namespace tango::core

@@ -8,22 +8,6 @@
 
 namespace tango::core {
 
-namespace {
-
-/// MDFS has no branch marks — every node is a materialized snapshot — so
-/// its checkpoint events carry count=0.
-void emit_at_node(obs::Sink* sink, obs::EventKind kind, std::uint64_t origin,
-                  int depth) {
-  if (sink == nullptr) return;
-  obs::Event e;
-  e.kind = kind;
-  e.parent = origin;
-  e.depth = depth;
-  sink->emit(e);
-}
-
-}  // namespace
-
 struct OnlineAnalyzer::MNode {
   SearchState state;
   GenResult gen;
@@ -99,23 +83,6 @@ void OnlineAnalyzer::finalize_stream() {
                to_string(stats_.reason));
 }
 
-std::uint64_t OnlineAnalyzer::emit_enter(int init, int start_state,
-                                         bool applied, bool ok, bool all_done,
-                                         std::uint64_t state_hash) {
-  if (sink_ == nullptr) return 0;
-  obs::Event e;
-  e.kind = obs::EventKind::Enter;
-  e.id = sink_->next_id();
-  e.init = init;
-  e.start_state = start_state;
-  e.applied = applied;
-  e.ok = ok;
-  e.all_done = all_done;
-  e.state_hash = state_hash;
-  sink_->emit(e);
-  return e.id;
-}
-
 OnlineAnalyzer::~OnlineAnalyzer() = default;
 
 bool OnlineAnalyzer::poll_source() {
@@ -137,26 +104,10 @@ bool OnlineAnalyzer::poll_source() {
   // Retry initializers that were blocked on unrecorded outputs.
   if (seeded_ && !pending_roots_.empty()) {
     std::vector<std::size_t> still_pending;
-    for (std::size_t ii : pending_roots_) {
-      InitResult init = apply_initializer(interp_, trace_, ro_, ii, stats_);
-      if (!init.ok) {
-        if (init.retry_later) still_pending.push_back(ii);
-        else emit_enter(static_cast<int>(ii), -1, init.executed, false,
-                        false, 0);
-        continue;
-      }
-      auto node = std::make_unique<MNode>();
-      node->state = std::move(init.state);
-      node->origin = emit_enter(
-          static_cast<int>(ii), node->state.machine.fsm_state, init.executed,
-          true, node->state.cursors.all_done(trace_, ro_),
-          sink_ != nullptr ? state_hash(node->state, config_.options) : 0);
-      compute_gen(*node);
-      ++stats_.saves;
-      emit_at_node(sink_, obs::EventKind::CheckpointSave, node->origin, 0);
-      stack_.push_back(std::move(node));
-    }
+    std::vector<std::unique_ptr<MNode>> roots;
+    for (std::size_t ii : pending_roots_) add_roots(ii, still_pending, roots);
     pending_roots_ = std::move(still_pending);
+    for (auto& node : roots) stack_.push_back(std::move(node));
   }
   // New data (or the eof marker) re-enables parked PG nodes.
   if (config_.options.reorder_pg_nodes || trace_.eof() != had_eof) {
@@ -198,42 +149,41 @@ void OnlineAnalyzer::regenerate(std::unique_ptr<MNode> node) {
 
 void OnlineAnalyzer::seed_roots() {
   seeded_ = true;
-  // Roots are pushed in reverse so the first initializer is explored first.
   std::vector<std::unique_ptr<MNode>> roots;
   for (std::size_t ii = 0; ii < spec_.body().initializers.size(); ++ii) {
-    InitResult init = apply_initializer(interp_, trace_, ro_, ii, stats_);
-    if (!init.ok) {
-      // An initializer whose outputs are not in the trace yet is retried
-      // when new events arrive.
-      if (init.retry_later) pending_roots_.push_back(ii);
-      else emit_enter(static_cast<int>(ii), -1, init.executed, false, false,
-                      0);
-      continue;
-    }
-    std::vector<int> start_states{init.state.machine.fsm_state};
-    if (config_.options.initial_state_search) {
-      for (int s = 0; s < static_cast<int>(spec_.states.size()); ++s) {
-        if (s != init.state.machine.fsm_state) start_states.push_back(s);
-      }
-    }
-    bool first_root = true;
-    for (int start : start_states) {
-      auto node = std::make_unique<MNode>();
-      node->state = ckpt_->snapshot(init.state);
-      node->state.machine.fsm_state = start;
-      node->origin = emit_enter(
-          static_cast<int>(ii), start, first_root && init.executed, true,
-          node->state.cursors.all_done(trace_, ro_),
-          sink_ != nullptr ? state_hash(node->state, config_.options) : 0);
-      first_root = false;
-      compute_gen(*node);
-      ++stats_.saves;
-      emit_at_node(sink_, obs::EventKind::CheckpointSave, node->origin, 0);
-      roots.push_back(std::move(node));
-    }
+    add_roots(ii, pending_roots_, roots);
   }
+  // Roots are pushed in reverse so the first initializer is explored first.
   for (auto it = roots.rbegin(); it != roots.rend(); ++it) {
     stack_.push_back(std::move(*it));
+  }
+}
+
+void OnlineAnalyzer::add_roots(std::size_t ii,
+                               std::vector<std::size_t>& pending,
+                               std::vector<std::unique_ptr<MNode>>& roots) {
+  InitResult init = apply_initializer(interp_, trace_, ro_, ii, stats_);
+  if (!init.ok) {
+    if (init.retry_later) pending.push_back(ii);
+    else emit_enter(sink_, static_cast<int>(ii), -1, init.executed, false,
+                    false, 0);
+    return;
+  }
+  bool first_root = true;
+  for (int start : start_states(spec_, config_.options,
+                                init.state.machine.fsm_state)) {
+    auto node = std::make_unique<MNode>();
+    node->state = ckpt_->snapshot(init.state);
+    node->state.machine.fsm_state = start;
+    node->origin = emit_enter(
+        sink_, static_cast<int>(ii), start, first_root && init.executed, true,
+        node->state.cursors.all_done(trace_, ro_),
+        sink_ != nullptr ? state_hash(node->state, config_.options) : 0);
+    first_root = false;
+    compute_gen(*node);
+    ++stats_.saves;
+    emit_at_node(sink_, obs::EventKind::CheckpointSave, node->origin, 0);
+    roots.push_back(std::move(node));
   }
 }
 
@@ -357,6 +307,12 @@ bool OnlineAnalyzer::do_step() {
 OnlineStatus OnlineAnalyzer::step_round(std::uint64_t steps) {
   if (concluded_) return final_status_;
   PhaseTimer search_timer(stats_.phase_search);
+  // Process CPU time, read once on entry and once on exit of the round.
+  struct CpuScope {
+    double& total;
+    CpuTimer timer;
+    ~CpuScope() { total += timer.elapsed(); }
+  } cpu{stats_.cpu_seconds, {}};
   if (!seeded_) {
     poll_source();
     seed_roots();
@@ -364,17 +320,11 @@ OnlineStatus OnlineAnalyzer::step_round(std::uint64_t steps) {
 
   for (std::uint64_t i = 0; i < steps; ++i) {
     if (concluded_) return final_status_;
-    if (config_.options.max_transitions != 0 &&
-        stats_.transitions_executed >= config_.options.max_transitions) {
-      conclude(OnlineStatus::Inconclusive, 0, InconclusiveReason::Transitions);
+    const InconclusiveReason r =
+        exceeded_budget(config_.options, governor_, stats_);
+    if (r != InconclusiveReason::None) {
+      conclude(OnlineStatus::Inconclusive, 0, r);
       return final_status_;
-    }
-    if (governor_.armed()) {
-      const InconclusiveReason r = governor_.check(stats_);
-      if (r != InconclusiveReason::None) {
-        conclude(OnlineStatus::Inconclusive, 0, r);
-        return final_status_;
-      }
     }
     if (stack_.empty()) {
       prune_non_pgav();

@@ -95,6 +95,11 @@ class OnlineAnalyzer {
   void reactivate_pg(bool all);
   void regenerate(std::unique_ptr<MNode> node);
   void seed_roots();
+  /// Applies initializer `ii` and appends one root per §2.4.1 start state
+  /// to `roots`; an initializer blocked on an output the trace has not
+  /// recorded yet goes to `pending`, to be retried when events arrive.
+  void add_roots(std::size_t ii, std::vector<std::size_t>& pending,
+                 std::vector<std::unique_ptr<MNode>>& roots);
   bool do_step();  // one firing attempt / node service; false if none left
   [[nodiscard]] bool any_pgav() const;
   void prune_non_pgav();
@@ -103,8 +108,6 @@ class OnlineAnalyzer {
   /// `reason` names the exhausted resource for Inconclusive conclusions.
   void conclude(OnlineStatus status, std::uint64_t witness,
                 InconclusiveReason reason = InconclusiveReason::None);
-  std::uint64_t emit_enter(int init, int start_state, bool applied, bool ok,
-                           bool all_done, std::uint64_t state_hash);
 
   const est::Spec& spec_;
   tr::TraceSource& source_;

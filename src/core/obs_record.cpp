@@ -167,6 +167,35 @@ void emit_run_header(obs::Sink& sink, const est::Spec& spec,
   sink.emit(e);
 }
 
+std::uint64_t emit_enter(obs::Sink* sink, int init, int start_state,
+                         bool applied, bool ok, bool all_done,
+                         std::uint64_t state_hash) {
+  if (sink == nullptr) return 0;
+  obs::Event e;
+  e.kind = obs::EventKind::Enter;
+  e.id = sink->next_id();
+  e.init = init;
+  e.start_state = start_state;
+  e.applied = applied;
+  e.ok = ok;
+  e.all_done = all_done;
+  e.state_hash = state_hash;
+  sink->emit(e);
+  return e.id;
+}
+
+void emit_at_node(obs::Sink* sink, obs::EventKind kind, std::uint64_t origin,
+                  int depth, int worker, std::uint64_t count) {
+  if (sink == nullptr) return;
+  obs::Event e;
+  e.kind = kind;
+  e.parent = origin;
+  e.worker = worker;
+  e.depth = depth;
+  e.count = count;
+  sink->emit(e);
+}
+
 void emit_verdict(obs::Sink& sink, std::uint64_t witness,
                   std::string_view verdict, const Stats& stats,
                   std::string_view reason) {

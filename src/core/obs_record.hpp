@@ -1,5 +1,5 @@
 // Glue between the engines and the observability layer (src/obs/): the
-// run-header / verdict emission both ends of every recorded stream share,
+// run-header / enter / node / verdict emission the DFS and MDFS share,
 // the replay-relevant option fingerprint that rides in the header's
 // `flags` object, and the tiny context the generator needs to attribute
 // its prune events to the node being expanded.
@@ -39,6 +39,19 @@ void options_from_flags(const obs::JsonValue& flags, Options& out);
 /// Emits the stream's `run` header.
 void emit_run_header(obs::Sink& sink, const est::Spec& spec,
                      const Options& options, const char* engine);
+
+/// Emits an `enter` event for one search root (start_state -1 and ok=false
+/// for an initializer that failed); returns its node id, 0 without a sink.
+std::uint64_t emit_enter(obs::Sink* sink, int init, int start_state,
+                         bool applied, bool ok, bool all_done,
+                         std::uint64_t state_hash);
+
+/// Emits an id-less event (backtrack, checkpoint save/restore, steal)
+/// attributed to the node whose enter/fire event is `origin`. No-op
+/// without a sink. The defaults suit MDFS: one thread, and no checkpoint
+/// marks since every node is a materialized snapshot.
+void emit_at_node(obs::Sink* sink, obs::EventKind kind, std::uint64_t origin,
+                  int depth, int worker = -1, std::uint64_t count = 0);
 
 /// Emits the final `verdict` event. `witness` is the enter/fire event
 /// whose state completed the trace (0 when there is none). The stats

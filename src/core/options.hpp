@@ -115,16 +115,19 @@ struct Options {
   /// when its analysis dies with a transient RuntimeFault. Compile errors
   /// and budget verdicts are never retried.
   int item_retries = 0;
-  /// Worker threads for analyze_parallel (`--jobs`): 1 = one worker, 0 =
-  /// one per hardware thread. The sequential analyze() ignores this.
+  /// Worker threads for analyze_parallel (`--jobs`), 0 = one per hardware
+  /// thread. 1 without `deterministic` runs the search inline on the
+  /// calling thread with no publication — exactly what analyze() runs;
+  /// analyze() ignores this field and `deterministic`.
   int jobs = 1;
   /// Reproducible parallel mode (`--deterministic`): branch ownership is a
   /// fixed function of the search tree (depth-bounded publication), hash
   /// pruning and budgets are per-task, no early cancellation, and results
   /// merge in task-lineage order — verdict and counters are then
-  /// run-to-run identical for any jobs value. The default relaxed mode
-  /// shares budget/pruning/cancellation globally; its verdict is stable
-  /// (up to budget races) but its counters depend on the schedule.
+  /// run-to-run identical for any jobs value, 1 included. The default
+  /// relaxed mode with more than one job shares budget/pruning/
+  /// cancellation globally; its verdict is stable (up to budget races)
+  /// but its counters depend on the schedule.
   bool deterministic = false;
   /// Bound on retained visited-state hashes (`--visited-max`, 0 =
   /// unlimited). Overflow evicts a uniformly random resident entry,

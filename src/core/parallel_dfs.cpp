@@ -37,33 +37,35 @@ int resolve_jobs(int jobs) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-/// A continuation: the untaken alternatives of one branching node,
-/// materialized so any worker can resume them. `node_depth` is the global
-/// stack depth of the node (the publisher's stack size with the node on
-/// top), `path` the edge labels leading into the node.
+/// A search root, or a continuation: the untaken alternatives of one
+/// branching node, materialized so any worker can resume them.
+/// `node_depth` is the global stack depth of the node (the publisher's
+/// stack size with the node on top), `path` the edge labels leading into
+/// the node.
 struct Task {
   SearchState state;
-  std::vector<Firing> firings;  // ignored unless `generated`
-  bool generated = false;       // false: run generate() at the root node
+  /// The node's untaken firings; a root has none yet and generates them.
+  std::optional<std::vector<Firing>> firings;
   std::vector<std::string> path;
   int node_depth = 1;
   std::vector<std::uint32_t> lineage;
   /// Event id of the enter/fire that produced `state` — the task's fires
-  /// keep pointing at the same parent a sequential run would name.
+  /// keep pointing at the same parent an inline run would name.
   std::uint64_t origin = 0;
 };
 
-/// What one task's exploration produced. Outcomes merge in lineage order
-/// (lexicographic), which in deterministic mode makes the merged result a
-/// pure function of the task set; the integer counters are commutative,
-/// so relaxed mode loses nothing by reusing the same order.
+/// What exploration produced. Pool outcomes (one per task) merge in
+/// lineage order (lexicographic), which in deterministic mode makes the
+/// merged result a pure function of the task set; the integer counters
+/// are commutative, so relaxed mode loses nothing by reusing the same
+/// order. An inline run has exactly one outcome for the whole search.
 struct Outcome {
   std::vector<std::uint32_t> lineage;
   Stats stats;
   std::string note;
   bool found = false;
   std::vector<std::string> solution;
-  std::uint64_t witness = 0;  // fire event id of the completing state
+  std::uint64_t witness = 0;  // enter/fire event id of the completing state
 };
 
 struct NodeFrame {
@@ -74,8 +76,8 @@ struct NodeFrame {
   std::uint64_t origin = 0;         // enter/fire event that made this state
 };
 
-/// Same veto-preference rule as the sequential engine: a concrete
-/// parameter mismatch beats ordering complaints from failed interleavings.
+/// Keeps the most diagnostic veto: a concrete parameter mismatch beats
+/// ordering complaints from unrelated failed interleavings.
 void merge_note(std::string& into, const std::string& msg) {
   if (msg.empty()) return;
   const bool existing_param = into.find("parameter") != std::string::npos;
@@ -83,18 +85,24 @@ void merge_note(std::string& into, const std::string& msg) {
   if (into.empty() || (incoming_param && !existing_param)) into = msg;
 }
 
-class ParallelEngine {
+/// The §2.2 backtracking search: one task loop (explore) under the three
+/// schedules of parallel_dfs.hpp. Inline, one Outcome, one VisitedSet and
+/// one governor span the whole run.
+class SearchEngine {
  public:
-  ParallelEngine(const est::Spec& spec, const tr::Trace& trace,
-                 const Options& options)
+  SearchEngine(const est::Spec& spec, const tr::Trace& trace,
+               const Options& options, int jobs, bool deterministic)
       : spec_(spec),
         trace_(trace),
         options_(options),
         ro_(resolve_timed(spec, options, phase_static_)),
-        jobs_(resolve_jobs(options.jobs)),
-        det_(options.deterministic),
-        publish_watermark_(static_cast<std::size_t>(2 * jobs_)),
+        jobs_(jobs),
+        det_(deterministic),
+        inline_(jobs == 1 && !deterministic),
+        relaxed_pool_(!deterministic && !inline_),
+        publish_watermark_(static_cast<std::size_t>(2 * jobs)),
         governor_(options),
+        visited_(options.visited_max),
         sink_(options.sink) {}
 
   DfsResult run() {
@@ -112,157 +120,123 @@ class ParallelEngine {
   void run_impl(DfsResult& result) {
     validate_trace_against_options(spec_, trace_, ro_);
     CpuTimer timer;
-    if (sink_ != nullptr) emit_run_header(*sink_, spec_, options_, "par");
-
-    Outcome init_out;  // empty lineage sorts first
-    rt::Interp init_interp(spec_,
-                           options_.partial ? rt::EvalMode::Partial
-                                            : rt::EvalMode::Strict,
-                           options_.interp);
-    std::vector<Task> roots;
-    std::uint32_t root_seq = 0;
-    std::uint64_t witness = 0;
-    bool early_valid = false;
-    for (std::size_t ii = 0;
-         !early_valid && ii < spec_.body().initializers.size(); ++ii) {
-      InitResult init =
-          apply_initializer(init_interp, trace_, ro_, ii, init_out.stats);
-      bump_shared_te();
-      if (!init.ok) {
-        emit_enter(static_cast<int>(ii), -1, init.executed, false, false, 0);
-        merge_note(init_out.note, init.note);
-        continue;
-      }
-      std::vector<int> start_states{init.state.machine.fsm_state};
-      if (options_.initial_state_search) {
-        for (int s = 0; s < static_cast<int>(spec_.states.size()); ++s) {
-          if (s != init.state.machine.fsm_state) start_states.push_back(s);
-        }
-      }
-      bool first_root = true;
-      for (int start : start_states) {
-        SearchState root = init.state;
-        root.machine.fsm_state = start;
-        const bool done = root.cursors.all_done(trace_, ro_);
-        const std::uint64_t root_event =
-            emit_enter(static_cast<int>(ii), start,
-                       first_root && init.executed, true, done,
-                       sink_ != nullptr ? state_hash(root, options_) : 0);
-        first_root = false;
-        std::string label =
-            "initialize to " + spec_.states[static_cast<std::size_t>(start)];
-        if (done) {
-          result.verdict = Verdict::Valid;
-          result.solution = {std::move(label)};
-          witness = root_event;
-          early_valid = true;
-          break;
-        }
-        Task t;
-        t.state = std::move(root);
-        t.path = {std::move(label)};
-        t.lineage = {root_seq++};
-        t.origin = root_event;
-        roots.push_back(std::move(t));
-      }
+    if (sink_ != nullptr) {
+      emit_run_header(*sink_, spec_, options_, inline_ ? "dfs" : "par");
     }
 
-    if (early_valid) {
-      result.stats = init_out.stats;
-      result.note = init_out.note;
-    } else {
-      if (!roots.empty()) run_pool(std::move(roots));
+    rt::Interp interp = make_interp();
+    // The initializers' share (empty lineage: merges first). Inline, it is
+    // also every root's outcome.
+    Outcome first;
+    std::vector<Task> roots;
+    std::uint32_t root_seq = 0;
+    for (std::size_t ii = 0; !first.found && !out_of_budget_.load() &&
+                             ii < spec_.body().initializers.size();
+         ++ii) {
+      InitResult init =
+          apply_initializer(interp, trace_, ro_, ii, first.stats);
+      bump_shared_te();
+      if (!init.ok) {
+        emit_enter(sink_, static_cast<int>(ii), -1, init.executed, false,
+                   false, 0);
+        merge_note(first.note, init.note);
+        continue;
+      }
+      bool first_root = true;
+      for (int start :
+           start_states(spec_, options_, init.state.machine.fsm_state)) {
+        Task t;
+        t.state = init.state;
+        t.state.machine.fsm_state = start;
+        const bool done = t.state.cursors.all_done(trace_, ro_);
+        t.origin = emit_enter(
+            sink_, static_cast<int>(ii), start, first_root && init.executed,
+            true, done, sink_ != nullptr ? state_hash(t.state, options_) : 0);
+        first_root = false;
+        t.path = {"initialize to " +
+                  spec_.states[static_cast<std::size_t>(start)]};
+        t.lineage = {root_seq++};
+        if (done) {
+          first.found = true;
+          first.solution = std::move(t.path);
+          first.witness = t.origin;
+        } else if (inline_) {
+          explore(std::move(t), -1, interp, false, first);
+        } else {
+          roots.push_back(std::move(t));
+        }
+        if (first.found || out_of_budget_.load()) break;
+      }
+    }
+    if (!first.found && !roots.empty()) run_pool(std::move(roots));
 
-      // Merge in lineage order; see Outcome.
-      std::sort(outcomes_.begin(), outcomes_.end(),
-                [](const Outcome& a, const Outcome& b) {
-                  return a.lineage < b.lineage;
-                });
-      result.stats = init_out.stats;
-      result.note = init_out.note;
-      const Outcome* winner = nullptr;
-      for (const Outcome& o : outcomes_) {
-        result.stats += o.stats;
-        merge_note(result.note, o.note);
-        if (o.found && winner == nullptr) winner = &o;
+    // Merge in lineage order; see Outcome.
+    std::sort(outcomes_.begin(), outcomes_.end(),
+              [](const Outcome& a, const Outcome& b) {
+                return a.lineage < b.lineage;
+              });
+    result.stats = first.stats;
+    result.note = first.note;
+    const Outcome* winner = first.found ? &first : nullptr;
+    for (const Outcome& o : outcomes_) {
+      result.stats += o.stats;
+      merge_note(result.note, o.note);
+      if (o.found && winner == nullptr) winner = &o;
+    }
+    const std::uint64_t run_evictions =
+        shared_visited_ != nullptr ? shared_visited_->total_evictions()
+                                   : visited_.evictions();
+    result.stats.evictions += run_evictions;
+    emit_evict(-1, run_evictions);
+    if (winner != nullptr) {
+      result.verdict = Verdict::Valid;
+      result.solution = winner->solution;
+      // A budget may have tripped in a losing task; a Valid verdict
+      // carries no reason.
+      result.stats.reason = InconclusiveReason::None;
+    } else if (out_of_budget_.load() || depth_clipped_.load()) {
+      result.verdict = Verdict::Inconclusive;
+      // Inline and deterministic runs carry the tripped reason on the
+      // merged stats (first in lineage order: a pure function of the task
+      // set). Relaxed mode falls back to the first-wins shared trip, which
+      // also covers budget trips outside any task (initializer loop).
+      InconclusiveReason r = result.stats.reason;
+      if (r == InconclusiveReason::None) {
+        r = static_cast<InconclusiveReason>(stop_reason_.load());
       }
-      if (shared_visited_ != nullptr) {
-        const std::uint64_t shared_evictions =
-            shared_visited_->total_evictions();
-        result.stats.evictions += shared_evictions;
-        if (sink_ != nullptr && shared_evictions > 0) {
-          obs::Event e;
-          e.kind = obs::EventKind::Evict;
-          e.count = shared_evictions;
-          sink_->emit(e);
-        }
-      }
-      if (winner != nullptr) {
-        result.verdict = Verdict::Valid;
-        result.solution = winner->solution;
-        witness = winner->witness;
-        // A budget may have tripped in a losing task; a Valid verdict
-        // carries no reason.
-        result.stats.reason = InconclusiveReason::None;
-      } else if (out_of_budget_.load() || depth_clipped_.load()) {
-        result.verdict = Verdict::Inconclusive;
-        // Deterministic mode: the merged stats carry the first tripped
-        // reason in lineage order (a pure function of the task set).
-        // Relaxed mode falls back to the first-wins shared trip, which
-        // also covers budget trips outside any task (initializer loop).
-        InconclusiveReason r = result.stats.reason;
-        if (r == InconclusiveReason::None) {
-          r = static_cast<InconclusiveReason>(stop_reason_.load());
-        }
-        if (r == InconclusiveReason::None) r = InconclusiveReason::Depth;
-        result.reason = r;
-        result.stats.reason = r;
-      } else {
-        result.verdict = Verdict::Invalid;
-        result.stats.reason = InconclusiveReason::None;
-      }
+      if (r == InconclusiveReason::None) r = InconclusiveReason::Depth;
+      result.reason = r;
+      result.stats.reason = r;
+    } else {
+      result.verdict = Verdict::Invalid;
+      result.stats.reason = InconclusiveReason::None;
     }
     result.stats.cpu_seconds = timer.elapsed();
     if (sink_ != nullptr) {
-      emit_verdict(*sink_, witness, to_string(result.verdict), result.stats,
+      emit_verdict(*sink_, winner != nullptr ? winner->witness : 0,
+                   to_string(result.verdict), result.stats,
                    to_string(result.reason));
     }
   }
 
-  std::uint64_t emit_enter(int init, int start_state, bool applied, bool ok,
-                           bool all_done, std::uint64_t state_hash) {
-    if (sink_ == nullptr) return 0;
+  /// Reports visited-table evictions: the run's table (worker -1) or one
+  /// deterministic task's.
+  void emit_evict(int worker, std::uint64_t count) {
+    if (sink_ == nullptr || count == 0) return;
     obs::Event e;
-    e.kind = obs::EventKind::Enter;
-    e.id = sink_->next_id();
-    e.init = init;
-    e.start_state = start_state;
-    e.applied = applied;
-    e.ok = ok;
-    e.all_done = all_done;
-    e.state_hash = state_hash;
-    sink_->emit(e);
-    return e.id;
-  }
-
-  void emit_at_node(obs::EventKind kind, std::uint64_t origin, int worker,
-                    int depth, std::uint64_t count) {
-    if (sink_ == nullptr) return;
-    obs::Event e;
-    e.kind = kind;
-    e.parent = origin;
+    e.kind = obs::EventKind::Evict;
     e.worker = worker;
-    e.depth = depth;
     e.count = count;
     sink_->emit(e);
   }
+
   struct WorkerDeque {
     std::mutex mu;
     std::deque<Task> dq;
   };
 
   void run_pool(std::vector<Task> roots) {
-    if (!det_ && options_.hash_states) {
+    if (relaxed_pool_ && options_.hash_states) {
       shared_visited_ = std::make_unique<ShardedVisitedTable>(
           static_cast<std::size_t>(std::max(16, 4 * jobs_)),
           options_.visited_max);
@@ -287,11 +261,15 @@ class ParallelEngine {
     if (failure_ != nullptr) std::rethrow_exception(failure_);
   }
 
-  void worker_loop(int wid) {
-    rt::Interp interp(spec_,
+  rt::Interp make_interp() const {
+    return rt::Interp(spec_,
                       options_.partial ? rt::EvalMode::Partial
                                        : rt::EvalMode::Strict,
                       options_.interp);
+  }
+
+  void worker_loop(int wid) {
+    rt::Interp interp = make_interp();
     while (true) {
       bool stolen = false;
       std::optional<Task> task = pop_or_steal(wid, stolen);
@@ -305,7 +283,11 @@ class ParallelEngine {
         continue;
       }
       try {
-        run_task(std::move(*task), wid, interp, stolen);
+        Outcome out;
+        out.lineage = std::move(task->lineage);
+        explore(std::move(*task), wid, interp, stolen, out);
+        std::lock_guard<std::mutex> lock(outcomes_mu_);
+        outcomes_.push_back(std::move(out));
       } catch (...) {
         {
           std::lock_guard<std::mutex> lock(outcomes_mu_);
@@ -368,14 +350,15 @@ class ParallelEngine {
   }
 
   bool should_publish(int node_depth) const {
+    if (inline_) return false;
     if (det_) return node_depth < kDeterministicPublishDepth;
     return queued_.load(std::memory_order_relaxed) < publish_watermark_;
   }
 
-  /// Global transition budget in relaxed mode; every apply (worker or
-  /// initializer) adds one, mirroring the sequential TE counter.
+  /// Global transition budget in relaxed pool mode; every apply (worker
+  /// or initializer) adds one, mirroring the inline run's TE counter.
   void bump_shared_te() {
-    if (det_ || options_.max_transitions == 0) return;
+    if (!relaxed_pool_ || options_.max_transitions == 0) return;
     if (te_shared_.fetch_add(1) + 1 >= options_.max_transitions) {
       trip_relaxed(InconclusiveReason::Transitions);
     }
@@ -393,116 +376,116 @@ class ParallelEngine {
     wake_all();
   }
 
-  void run_task(Task t, int wid, rt::Interp& interp, bool stolen) {
-    Outcome out;
-    out.lineage = std::move(t.lineage);
+  /// Cooperative budget check at the generate/backtrack boundary. Inline
+  /// and deterministic runs check `stats` — the run's cumulative counters
+  /// inline, one task's in deterministic mode, so the clip point depends
+  /// only on the task and siblings run to completion. Relaxed pool mode
+  /// pools the memory proxy across workers and turns any trip into a
+  /// shared cancellation. Returns true when the search must stop.
+  bool budget_exceeded(Stats& stats, ResourceGovernor& gov,
+                       std::uint64_t& mem_reported) {
+    if (!relaxed_pool_) {
+      const InconclusiveReason r = exceeded_budget(options_, gov, stats);
+      if (r == InconclusiveReason::None) return false;
+      out_of_budget_.store(true);
+      stats.reason = r;
+      return true;
+    }
+    if (!gov.armed()) return false;
+    const std::uint64_t mem = ResourceGovernor::memory_bytes(stats);
+    if (mem > mem_reported) {
+      mem_shared_.fetch_add(mem - mem_reported, std::memory_order_relaxed);
+      mem_reported = mem;
+    }
+    InconclusiveReason r = InconclusiveReason::None;
+    if (options_.max_memory != 0 &&
+        mem_shared_.load(std::memory_order_relaxed) >= options_.max_memory) {
+      r = InconclusiveReason::Memory;
+    } else if (gov.deadline_expired()) {
+      r = InconclusiveReason::Deadline;
+    }
+    if (r == InconclusiveReason::None) return false;
+    stats.reason = r;
+    trip_relaxed(r);
+    return true;
+  }
+
+  /// Depth-first exploration of one task's subtree into `out`.
+  void explore(Task t, int wid, rt::Interp& interp, bool stolen,
+               Outcome& out) {
     Stats& stats = out.stats;
     if (stolen) {
       stats.tasks_stolen = 1;
-      emit_at_node(obs::EventKind::Steal, t.origin, wid, t.node_depth - 1, 0);
+      emit_at_node(sink_, obs::EventKind::Steal, t.origin, t.node_depth - 1,
+                   wid);
     }
 
     SearchState cur = std::move(t.state);
-    // Per-task copy: every task races the same absolute deadline but
-    // samples its own clock stride; in deterministic mode the memory
-    // budget applies to this task's stats alone.
-    ResourceGovernor gov = governor_;
+    // Pool tasks copy the governor: every task races the same absolute
+    // deadline but samples its own clock stride.
+    ResourceGovernor task_gov = governor_;
+    ResourceGovernor& gov = inline_ ? governor_ : task_gov;
     std::uint64_t mem_reported = 0;  // relaxed: bytes pushed to mem_shared_
+    // One checkpointer per task: the trail rewinds exactly to the task's
+    // start state, never across tasks or roots.
     std::unique_ptr<Checkpointer> ckpt =
         make_checkpointer(options_.checkpoint, stats);
-    std::unique_ptr<VisitedSet> local_visited;
+    std::unique_ptr<VisitedSet> task_visited;
     if (det_ && options_.hash_states) {
-      // Private per-task table: weaker pruning than the shared one, but a
+      // Private per-task table: weaker pruning than a shared one, but a
       // pure function of the task, which determinism requires. The
       // --visited-max bound applies per task.
-      local_visited = std::make_unique<VisitedSet>(options_.visited_max);
+      task_visited = std::make_unique<VisitedSet>(options_.visited_max);
     }
+    VisitedSet* visited = inline_ ? &visited_ : task_visited.get();
 
     std::vector<std::string> path = std::move(t.path);
     std::vector<NodeFrame> stack;
     std::uint32_t pub_seq = 0;
 
-    {
-      NodeFrame root;
-      root.origin = t.origin;
-      if (t.generated) {
-        root.gen.firings = std::move(t.firings);
+    // Pushes the node `cur` is in — generating its firings unless the task
+    // carries them — and saves a checkpoint when it branches.
+    const auto push_node = [&](std::uint64_t origin, int depth,
+                               std::optional<std::vector<Firing>> firings) {
+      NodeFrame frame;
+      frame.origin = origin;
+      if (firings) {
+        frame.gen.firings = std::move(*firings);
       } else {
-        root.gen = generate(interp, trace_, ro_, cur, stats,
-                            ObsCtx{sink_, t.origin, wid, t.node_depth - 1});
-        merge_note(out.note, root.gen.fault);
+        frame.gen = generate(interp, trace_, ro_, cur, stats,
+                             ObsCtx{sink_, origin, wid, depth});
+        merge_note(out.note, frame.gen.fault);
       }
-      if (root.gen.firings.size() > 1) {
-        root.mark = ckpt->save(cur);
+      if (frame.gen.firings.size() > 1) {
+        frame.mark = ckpt->save(cur);  // save only when the node branches
         ++stats.saves;
-        emit_at_node(obs::EventKind::CheckpointSave, t.origin, wid,
-                     t.node_depth - 1, *root.mark);
+        emit_at_node(sink_, obs::EventKind::CheckpointSave, origin, depth,
+                     wid, *frame.mark);
       }
-      stack.push_back(std::move(root));
-    }
+      stack.push_back(std::move(frame));
+    };
+    push_node(t.origin, t.node_depth - 1, std::move(t.firings));
 
     while (!stack.empty()) {
-      if (stop_.load(std::memory_order_relaxed)) break;  // never set in det
+      if (stop_.load(std::memory_order_relaxed)) break;  // relaxed pool only
       NodeFrame& frame = stack.back();
       if (frame.next >= frame.gen.firings.size()) {
         if (frame.mark) ckpt->forget(*frame.mark);
         if (!frame.chosen.empty()) path.pop_back();
-        emit_at_node(obs::EventKind::Backtrack, frame.origin, wid,
-                     t.node_depth + static_cast<int>(stack.size()) - 2, 0);
+        emit_at_node(sink_, obs::EventKind::Backtrack, frame.origin,
+                     t.node_depth + static_cast<int>(stack.size()) - 2, wid);
         stack.pop_back();
         continue;
       }
-      if (det_ && options_.max_transitions != 0 &&
-          stats.transitions_executed >= options_.max_transitions) {
-        // Deterministic budgets are per task: the clip point depends only
-        // on the task, never on sibling tasks' progress.
-        out_of_budget_.store(true);
-        stats.reason = InconclusiveReason::Transitions;
-        break;
-      }
-      if (gov.armed()) {
-        if (det_) {
-          // Per-task accounting, no cancellation: sibling tasks run to
-          // completion, so every counter stays a pure function of its
-          // task (modulo the wall clock itself for a deadline trip).
-          const InconclusiveReason r = gov.check(stats);
-          if (r != InconclusiveReason::None) {
-            out_of_budget_.store(true);
-            stats.reason = r;
-            break;
-          }
-        } else {
-          // Relaxed mode pools the memory proxy across workers and turns
-          // any trip into a shared cancellation.
-          const std::uint64_t mem = ResourceGovernor::memory_bytes(stats);
-          if (mem > mem_reported) {
-            mem_shared_.fetch_add(mem - mem_reported,
-                                  std::memory_order_relaxed);
-            mem_reported = mem;
-          }
-          InconclusiveReason r = InconclusiveReason::None;
-          if (options_.max_memory != 0 &&
-              mem_shared_.load(std::memory_order_relaxed) >=
-                  options_.max_memory) {
-            r = InconclusiveReason::Memory;
-          } else if (gov.deadline_expired()) {
-            r = InconclusiveReason::Deadline;
-          }
-          if (r != InconclusiveReason::None) {
-            stats.reason = r;
-            trip_relaxed(r);
-            break;
-          }
-        }
-      }
+      if (budget_exceeded(stats, gov, mem_reported)) break;
 
       const int node_depth = t.node_depth + static_cast<int>(stack.size()) - 1;
       const std::size_t pick = frame.next++;
       if (pick > 0) {
-        ckpt->restore(*frame.mark, cur);
+        ckpt->restore(*frame.mark, cur);  // backtrack to the branching state
         ++stats.restores;
-        emit_at_node(obs::EventKind::CheckpointRestore, frame.origin, wid,
-                     node_depth - 1, *frame.mark);
+        emit_at_node(sink_, obs::EventKind::CheckpointRestore, frame.origin,
+                     node_depth - 1, wid, *frame.mark);
         if (!frame.chosen.empty()) path.pop_back();
         frame.chosen.clear();
       }
@@ -513,10 +496,9 @@ class ParallelEngine {
           should_publish(node_depth)) {
         Task cont;
         cont.state = ckpt->snapshot(cur);
-        cont.firings.assign(frame.gen.firings.begin() +
-                                static_cast<std::ptrdiff_t>(frame.next),
-                            frame.gen.firings.end());
-        cont.generated = true;
+        cont.firings.emplace(frame.gen.firings.begin() +
+                                 static_cast<std::ptrdiff_t>(frame.next),
+                             frame.gen.firings.end());
         cont.path = path;
         cont.node_depth = node_depth;
         cont.origin = frame.origin;
@@ -543,8 +525,7 @@ class ParallelEngine {
       bump_shared_te();
       const bool done = applied.ok && cur.cursors.all_done(trace_, ro_);
       // One hash per fired node, shared by the fire event and the visited
-      // insert (with --events and --hash-states both on, this used to be
-      // computed twice).
+      // insert.
       std::uint64_t cur_hash = 0;
       if (applied.ok && (sink_ != nullptr || options_.hash_states)) {
         cur_hash = state_hash(cur, options_);
@@ -569,6 +550,8 @@ class ParallelEngine {
         fire_event = e.id;
       }
       if (!applied.ok) {
+        // cur is now dirty; the next sibling (or an ancestor's) restore
+        // repairs it before anything else executes.
         merge_note(out.note, applied.note);
         continue;
       }
@@ -582,9 +565,9 @@ class ParallelEngine {
 
       if (done) {
         out.found = true;
-        out.solution = path;
+        out.solution = std::move(path);
         out.witness = fire_event;
-        if (!det_) {
+        if (relaxed_pool_) {
           stop_.store(true);  // first conclusion cancels the pool
           wake_all();
         }
@@ -592,9 +575,11 @@ class ParallelEngine {
       }
 
       if (options_.hash_states) {
-        const std::uint64_t h = cur_hash;
-        const bool fresh = det_ ? local_visited->insert(h)
-                                : shared_visited_->insert(h);
+        // §4.2's proposed hash table of visited states: a revisited state
+        // has an identical subtree, already explored or in progress.
+        const bool fresh = visited != nullptr
+                               ? visited->insert(cur_hash)
+                               : shared_visited_->insert(cur_hash);
         if (!fresh) {
           ++stats.pruned_by_hash;
           if (sink_ != nullptr) {
@@ -603,7 +588,7 @@ class ParallelEngine {
             e.parent = fire_event;
             e.worker = wid;
             e.depth = node_depth;
-            e.state_hash = h;
+            e.state_hash = cur_hash;
             sink_->emit(e);
           }
           path.pop_back();
@@ -619,33 +604,13 @@ class ParallelEngine {
         continue;
       }
 
-      NodeFrame child;
-      child.origin = fire_event;
-      child.gen = generate(interp, trace_, ro_, cur, stats,
-                           ObsCtx{sink_, fire_event, wid, node_depth});
-      merge_note(out.note, child.gen.fault);
-      if (child.gen.firings.size() > 1) {
-        child.mark = ckpt->save(cur);
-        ++stats.saves;
-        emit_at_node(obs::EventKind::CheckpointSave, fire_event, wid,
-                     node_depth, *child.mark);
-      }
-      stack.push_back(std::move(child));
+      push_node(fire_event, node_depth, std::nullopt);
     }
 
-    if (local_visited != nullptr) {
-      const std::uint64_t local_evictions = local_visited->evictions();
-      stats.evictions += local_evictions;
-      if (sink_ != nullptr && local_evictions > 0) {
-        obs::Event e;
-        e.kind = obs::EventKind::Evict;
-        e.worker = wid;
-        e.count = local_evictions;
-        sink_->emit(e);
-      }
+    if (task_visited != nullptr) {
+      stats.evictions += task_visited->evictions();
+      emit_evict(wid, task_visited->evictions());
     }
-    std::lock_guard<std::mutex> lock(outcomes_mu_);
-    outcomes_.push_back(std::move(out));
   }
 
   const est::Spec& spec_;
@@ -655,8 +620,11 @@ class ParallelEngine {
   ResolvedOptions ro_;
   const int jobs_;
   const bool det_;
+  const bool inline_;
+  const bool relaxed_pool_;
   const std::size_t publish_watermark_;
-  const ResourceGovernor governor_;  // copied per task; see run_task
+  ResourceGovernor governor_;  // inline: the run's; pool: copied per task
+  VisitedSet visited_;         // inline runs' §4.2 table
   obs::Sink* sink_ = nullptr;
 
   std::vector<std::unique_ptr<WorkerDeque>> deques_;
@@ -679,9 +647,19 @@ class ParallelEngine {
 
 }  // namespace
 
+namespace detail {
+
+DfsResult search(const est::Spec& spec, const tr::Trace& trace,
+                 const Options& options, int jobs, bool deterministic) {
+  return SearchEngine(spec, trace, options, jobs, deterministic).run();
+}
+
+}  // namespace detail
+
 DfsResult analyze_parallel(const est::Spec& spec, const tr::Trace& trace,
                            const Options& options) {
-  return ParallelEngine(spec, trace, options).run();
+  return detail::search(spec, trace, options, resolve_jobs(options.jobs),
+                        options.deterministic);
 }
 
 std::vector<BatchItemResult> analyze_batch(const est::Spec& spec,
@@ -717,24 +695,18 @@ std::vector<BatchItemResult> analyze_batch(const est::Spec& spec,
       }
     }
   };
+  // Items go out in input order; the calling thread is one of the workers.
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&] {
+    for (std::size_t i; (i = next.fetch_add(1)) < traces.size();) {
+      analyze_one(i);
+    }
+  };
   const int jobs = std::min<int>(resolve_jobs(options.jobs),
                                  static_cast<int>(traces.size()));
-  if (jobs <= 1) {
-    for (std::size_t i = 0; i < traces.size(); ++i) analyze_one(i);
-    return results;
-  }
-  std::atomic<std::size_t> next{0};
   std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(jobs));
-  for (int w = 0; w < jobs; ++w) {
-    workers.emplace_back([&] {
-      while (true) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= traces.size()) return;
-        analyze_one(i);
-      }
-    });
-  }
+  for (int w = 1; w < jobs; ++w) workers.emplace_back(drain);
+  drain();
   for (std::thread& t : workers) t.join();
   return results;
 }

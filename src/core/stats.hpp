@@ -38,7 +38,7 @@ struct Stats {
   std::uint64_t evictions = 0;
   /// Frontier continuations published to the work-stealing pool and how
   /// many of them were executed by a worker other than their publisher
-  /// (0 for the sequential engines).
+  /// (0 for inline DFS runs and MDFS).
   std::uint64_t tasks_published = 0;
   std::uint64_t tasks_stolen = 0;
   std::uint64_t fanout_sum = 0;            // sum of firing-list sizes

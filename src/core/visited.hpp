@@ -7,9 +7,9 @@
 //
 // Eviction is always sound: losing a hash can only cause a state to be
 // re-explored, never a live path to be pruned. The replacement victim is
-// drawn from a per-set xorshift generator with a fixed seed, so the
-// sequential engine (and the parallel engine's deterministic mode, which
-// uses private per-task sets) stays run-to-run reproducible.
+// drawn from a per-set xorshift generator with a fixed seed, so inline
+// runs (and the parallel engine's deterministic mode, which uses private
+// per-task sets) stay run-to-run reproducible.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +53,6 @@ class ShardedVisitedTable {
 
   bool insert(std::uint64_t h);
 
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   /// Sums per-shard eviction counters; call after the workers joined.
   [[nodiscard]] std::uint64_t total_evictions() const;
 

@@ -76,7 +76,7 @@ struct Frame {
   std::uint64_t deadline_ms = 0;
   std::uint64_t max_memory = 0;
   std::int64_t max_depth = 0;
-  std::int64_t jobs = 1;      // static mode: >1 selects the parallel engine
+  std::int64_t jobs = 1;      // static mode: analyze_parallel workers
 
   // chunk
   std::string text;

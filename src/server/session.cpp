@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "core/dfs.hpp"
 #include "core/fault.hpp"
 #include "core/parallel_dfs.hpp"
 #include "core/session.hpp"
@@ -200,8 +199,8 @@ void run_online(Conn& c, const SessionContext& ctx, const PreparedSpec& ps,
   }
 }
 
-/// Static mode: buffer the whole trace, then one-shot DFS (or the
-/// parallel engine when the hello asked for jobs != 1).
+/// Static mode: buffer the whole trace, then one analyze_parallel run
+/// with the hello's jobs (1, the default, searches inline).
 void run_static(Conn& c, const SessionContext& ctx, const PreparedSpec& ps,
                 const core::Options& opts, std::vector<Frame> pending) {
   std::string text;
@@ -236,9 +235,7 @@ void run_static(Conn& c, const SessionContext& ctx, const PreparedSpec& ps,
     if (!eof && (c.closed || c.broken)) return;
   }
   const tr::Trace trace = tr::parse_trace(ps.spec, text);
-  const core::DfsResult r =
-      opts.jobs != 1 ? core::analyze_parallel(ps.spec, trace, opts)
-                     : core::analyze(ps.spec, trace, opts);
+  const core::DfsResult r = core::analyze_parallel(ps.spec, trace, opts);
   send_final(c, core::to_string(r.verdict),
              r.verdict == core::Verdict::Inconclusive
                  ? core::to_string(r.reason)

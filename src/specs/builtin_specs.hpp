@@ -1,7 +1,7 @@
 // Built-in specification texts: the paper's examples (Figures 1 and 2),
 // the two evaluation protocols (TP0 §4.2 and a Q.921/LAPD subset §4.1) and
-// an alternating-bit protocol used by examples and tests. The same texts
-// are shipped as standalone files under specs/ (a test keeps them in sync).
+// an alternating-bit protocol used by examples and tests. The texts are the
+// files under specs/, embedded at build time (builtin_specs.cpp.in).
 #pragma once
 
 #include <string_view>

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/workloads.hpp"
 #include "specs/builtin_specs.hpp"
 
 namespace tango::core {
@@ -200,6 +201,41 @@ TEST(Mdfs, StatsArePopulated) {
   EXPECT_GT(o.analyzer->stats().transitions_executed, 0u);
   EXPECT_GT(o.analyzer->stats().generates, 0u);
   EXPECT_GT(o.analyzer->stats().saves, 0u);
+}
+
+TEST(Mdfs, LateInitializerRootsHonourInitialStateSearch) {
+  // The initializer's output is not in the trace when the search is
+  // seeded, so its roots are expanded only when the event arrives — and
+  // must still include every §2.4.1 start state: only `w` consumes m.
+  Options opts = Options::none();
+  opts.initial_state_search = true;
+  Online o(R"(
+specification s;
+channel CH(A, B); by A: m; by B: r;
+module M systemprocess; ip P: CH(B); end;
+body MB for M;
+  state z, w;
+  initialize to z begin output P.r; end;
+  trans from w to w when P.m name t: begin end;
+end;
+end.
+)",
+           opts);
+  EXPECT_NE(o.pump(), OnlineStatus::Invalid);  // seeded, initializer pending
+  o.feed.push_line("out p.r");
+  o.feed.push_line("in p.m");
+  o.feed.push_eof();
+  EXPECT_EQ(o.pump(), OnlineStatus::Valid);
+}
+
+TEST(Mdfs, OnlineRunReportsCpuTime) {
+  // `tango online` prints cpu= and TE/s from the rounds' CPU time.
+  Online o(specs::lapd(), Options::full());
+  const tr::Trace trace = sim::lapd_trace(o.spec, 200);
+  for (const tr::TraceEvent& e : trace.events()) o.feed.push(e);
+  o.feed.push_eof();
+  EXPECT_EQ(o.analyzer->run(), OnlineStatus::Valid);
+  EXPECT_GT(o.analyzer->stats().cpu_seconds, 0.0);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "core/parallel_dfs.hpp"
 #include "core/visited.hpp"
 #include "estelle/spec.hpp"
+#include "obs/sink.hpp"
 #include "sim/mutate.hpp"
 #include "sim/workloads.hpp"
 #include "specs/builtin_specs.hpp"
@@ -98,20 +99,56 @@ TEST(ParallelDfs, MatchesSequentialVerdictOnBranchingWorkloads) {
   }
 }
 
+/// One analysis with its recorded event stream, one JSONL line per event.
+struct Recorded {
+  DfsResult result;
+  std::vector<std::string> events;
+};
+
+Recorded record(bool parallel, const est::Spec& spec, const tr::Trace& trace,
+                Options options) {
+  obs::MemorySink sink;
+  options.sink = &sink;
+  Recorded out;
+  out.result = parallel ? analyze_parallel(spec, trace, options)
+                        : analyze(spec, trace, options);
+  for (const obs::Event& e : sink.events()) {
+    out.events.push_back(obs::to_jsonl(e));
+  }
+  return out;
+}
+
 TEST(ParallelDfs, JobsOneMatchesSequentialCountersExactly) {
-  // A single worker explores the tree in the sequential engine's order
-  // (nothing is ever stolen), so the Figure-3 counters must line up.
+  // With one job and relaxed scheduling, analyze_parallel runs the search
+  // inline with no publication: it IS the sequential search, so every
+  // counter, the solution, the note and the event stream line up.
   est::Spec spec = tp0_spec();
-  tr::Trace trace = branching_invalid_trace(spec, 8);
-  Options options = Options::full();
-  const DfsResult seq = analyze(spec, trace, options);
-  options.jobs = 1;
-  const DfsResult par = analyze_parallel(spec, trace, options);
-  EXPECT_EQ(par.verdict, seq.verdict);
-  EXPECT_EQ(par.stats.transitions_executed, seq.stats.transitions_executed);
-  EXPECT_EQ(par.stats.generates, seq.stats.generates);
-  EXPECT_EQ(par.stats.max_depth, seq.stats.max_depth);
-  EXPECT_EQ(par.stats.tasks_stolen, 0u);
+  struct Case { const char* name; tr::Trace trace; Options options; };
+  Options io_hashed = Options::io();
+  io_hashed.hash_states = true;
+  const std::vector<Case> cases = {
+      {"full/invalid n=8", branching_invalid_trace(spec, 8), Options::full()},
+      {"io/hash/invalid n=6", branching_invalid_trace(spec, 6), io_hashed},
+      {"io/valid n=6", sim::tp0_paper_trace(spec, 6), Options::io()},
+  };
+  for (const Case& c : cases) {
+    const Recorded seq = record(false, spec, c.trace, c.options);
+    Options options = c.options;
+    options.jobs = 1;
+    const Recorded par = record(true, spec, c.trace, options);
+    EXPECT_EQ(par.result.verdict, seq.result.verdict) << c.name;
+    // Every counter: TE/GE/RE/SA, pruned_by_hash, tasks_published, ...
+    EXPECT_EQ(par.result.stats.to_json_counters(),
+              seq.result.stats.to_json_counters())
+        << c.name;
+    EXPECT_EQ(par.result.stats.tasks_published, 0u) << c.name;
+    EXPECT_EQ(par.result.solution, seq.result.solution) << c.name;
+    EXPECT_EQ(par.result.note, seq.result.note) << c.name;
+    ASSERT_EQ(par.events.size(), seq.events.size()) << c.name;
+    for (std::size_t i = 0; i < seq.events.size(); ++i) {
+      ASSERT_EQ(par.events[i], seq.events[i]) << c.name << " event " << i;
+    }
+  }
 }
 
 TEST(ParallelDfs, DeterministicModeIsRunToRunIdentical) {
@@ -123,7 +160,11 @@ TEST(ParallelDfs, DeterministicModeIsRunToRunIdentical) {
   options.hash_states = true;
 
   const DfsResult first = analyze_parallel(spec, trace, options);
-  for (int run = 0; run < 3; ++run) {
+  EXPECT_GT(first.stats.tasks_published, 0u);
+  // Identical across runs and across jobs values — one job included, which
+  // runs this mode too rather than the inline search.
+  for (int jobs : {4, 2, 1}) {
+    options.jobs = jobs;
     const DfsResult again = analyze_parallel(spec, trace, options);
     EXPECT_EQ(again.verdict, first.verdict);
     EXPECT_EQ(again.solution, first.solution);

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 namespace {
@@ -95,6 +96,22 @@ TEST(CliRobust, ResourceFlagsAreAccepted) {
                               " --deadline=60000 --max-memory=100000000");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("verdict: valid"), std::string::npos) << r.output;
+}
+
+TEST(CliRobust, DeterministicAppliesWithOneJob) {
+  // --deterministic is honoured at --jobs=1 too: the stream's run header
+  // names the work-stealing schedule ("par"), not the inline search.
+  const std::filesystem::path events =
+      std::filesystem::path(testing::TempDir()) / "cli_robust_det.jsonl";
+  const RunResult r = run_cli("analyze builtin:abp " + valid_trace() +
+                              " --deterministic --jobs=1 --events " +
+                              events.string());
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  std::ifstream in(events);
+  std::string header;
+  std::getline(in, header);
+  EXPECT_NE(header.find("\"engine\":\"par\""), std::string::npos) << header;
+  std::filesystem::remove(events);
 }
 
 TEST(CliRobust, BatchJsonReportsPerItemVerdicts) {
