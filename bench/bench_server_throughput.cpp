@@ -90,7 +90,7 @@ LevelResult run_level(tango::srv::Server& server,
         tango::srv::SubmitOptions o;
         o.port = server.port();
         o.spec = g.spec_ref;
-        o.max_transitions = 200'000;
+        o.options.max_transitions = 200'000;
         const auto t0 = Clock::now();
         const tango::srv::SubmitResult r = tango::srv::submit_trace(g.text, o);
         const auto t1 = Clock::now();

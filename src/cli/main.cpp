@@ -35,6 +35,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/coverage.hpp"
@@ -42,6 +43,7 @@
 #include "codegen/cpp_generator.hpp"
 #include "core/dfs.hpp"
 #include "core/mdfs.hpp"
+#include "core/option_table.hpp"
 #include "core/parallel_dfs.hpp"
 #include "estelle/parser.hpp"
 #include "fuzz/fuzz.hpp"
@@ -81,6 +83,21 @@ int print_version() {
             << ", server protocol " << srv::kProtocolVersion
             << ", events schema " << obs::kEventSchemaVersion << ")\n";
   return 0;
+}
+
+/// One `tango help` option line: the spelling (under 34 columns), then
+/// the text word-wrapped to 78 columns beside it.
+void print_option(const std::string& spelling, std::string_view text) {
+  std::string line = "  " + spelling;
+  for (const std::string_view word : split(text, ' ')) {
+    if (line.size() > 36 && line.size() + 1 + word.size() > 78) {
+      std::cout << line << "\n";
+      line.clear();
+    }
+    line.resize(std::max<std::size_t>(line.size() + 1, 36), ' ');
+    line += word;
+  }
+  std::cout << line << "\n";
 }
 
 int help() {
@@ -143,74 +160,38 @@ commands:
                                     network streams (docs/SERVER.md). All
                                     built-ins are preloaded; extra spec
                                     files are preloaded under their path.
-                                    Analysis options set the per-session
-                                    defaults; hello frames override them
-  submit <trace> --connect=<host:port> --spec=<ref> [--order=...]
-         [--static] [--chunk-size=N] [--chunk-delay=<ms>]
+                                    Analysis options set session defaults;
+                                    a hello overrides the [hello] ones, but
+                                    only tightens budgets and --jobs
+  submit <trace> --connect=<host:port> --spec=<ref> [--static]
+         [--chunk-size=N] [--chunk-delay=<ms>] [analysis options]
                                     run one session against a server.
                                     <trace> may be - (stdin). --chunk-size
                                     trickles N events per chunk (0 = whole
                                     trace at once); --static buffers at the
-                                    server and runs the one-shot DFS engine
+                                    server and runs the one-shot DFS engine.
+                                    Sends the [hello] analysis options
   --version                         print build, protocol and event-schema
                                     versions
 
 <spec> is a file path or builtin:<name> (ack, ip3, ip3prime, abp, inres, tp0, lapd).
 
 analysis options:
-  --order=none|io|ip|full           relative order checking mode (default io)
-  --disable-ip=<name>               do not check outputs at this ip (§2.4.3)
-  --unobservable-ip=<name>          partial trace: no inputs at this ip (§5)
-  --partial                         undefined-tolerant partial-trace mode
-  --initial-state-search            try all initial FSM states (§2.4.1)
-  --hash-states                     prune revisited states (hash table)
-  --checkpoint=copy|trail           save/restore implementation: deep-copy
-                                    states (§3.2.2 oracle) or undo-log
-                                    trail marks (default trail)
-  --hash-impl=incremental|full      state-hash implementation: trail-
-                                    maintained component hashes combined in
-                                    O(dirty) (default), or the full
-                                    recursive walk (differential oracle);
-                                    both yield identical hash values
-  --jobs=<n>                        worker threads (default 1; 0 = one per
-                                    hardware thread). For analyze, >1
-                                    spreads the DFS over work-stealing
-                                    workers; for fuzz, iterations run
-                                    concurrently
-  --deterministic                   fixed branch ownership + per-task
-                                    pruning/budgets so verdict and every
-                                    counter are run-to-run identical for
-                                    any --jobs (slower; see
-                                    docs/PARALLEL.md)
-  --visited-max=<n>                 bound the --hash-states table to n
-                                    entries; overflow evicts a random hash
-                                    (0 = unlimited, the default)
-  --no-static-prune                 do not consume guard-solver facts during
-                                    generate (on by default; pruning never
-                                    changes verdicts — see docs/LINT.md)
-  --no-invariant-prune              keep the pairwise guard-solver facts but
-                                    drop the whole-spec invariant facts
-                                    (state-refuted candidates, doomed-output
-                                    cuts) — for ablation/differential runs;
-                                    implied off by --no-static-prune and
-                                    under --initial-state-search
-  --batch <dir>                     analyze every *.tr file in <dir>,
-                                    scheduling whole traces across --jobs
-                                    workers; exit 0 iff all are valid. One
-                                    failing/over-budget item never aborts
-                                    the rest; --format=json emits the
-                                    per-item report as JSON
-  --no-reorder                      disable MDFS dynamic node reordering
-  --max-transitions=<n>             search budget (reason "transitions")
-  --max-depth=<n>                   depth bound (reason "depth")
-  --deadline=<ms>                   wall-clock budget; expiry yields an
-                                    inconclusive verdict with reason
-                                    "deadline". Applies per item in --batch
-  --max-memory=<bytes>              checkpoint/trail allocation budget — a
-                                    deterministic proxy, not process RSS;
-                                    reason "memory" (docs/ROBUSTNESS.md)
-  --item-retries=<n>                --batch: retry an item up to n extra
-                                    times after a transient runtime fault
+)";
+  for (const core::OptionRow& row : core::option_rows()) {
+    if ((row.surfaces & core::kCli) == 0) continue;
+    std::string spelling(row.flag);
+    if (!row.arg.empty()) spelling += "=" + std::string(row.arg);
+    std::string text(row.help);
+    if ((row.surfaces & core::kHello) != 0) text += " [hello]";
+    print_option(spelling, text);
+  }
+  std::cout << R"(
+other options:
+  --batch <dir>                     analyze every *.tr file in <dir> across
+                                    --jobs workers, isolating each item's
+                                    failure; exit 0 iff all are valid
+                                    (--format=json for a JSON report)
   --events=<file>                   record a structured search-event stream
                                     (JSONL, docs/EVENTS.md) for analyze and
                                     online runs; inspect with tango events
@@ -234,43 +215,6 @@ std::string read_file(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
-}
-
-/// Strict numeric flag parsing: the whole value must be decimal digits and
-/// fit below `max_value`. A typo'd "--jobs=abc" becomes a usage error
-/// naming the flag instead of a bare "stoi" exception, and a negative
-/// "--max-depth=-1" is rejected instead of wrapping to a huge unsigned.
-std::uint64_t parse_u64_flag(const char* flag, const std::string& text,
-                             std::uint64_t max_value) {
-  if (text.empty()) {
-    throw CompileError({}, std::string(flag) + " needs a number");
-  }
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      throw CompileError({}, std::string("bad ") + flag + " value '" + text +
-                                 "' (expected a non-negative integer)");
-    }
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (max_value - digit) / 10) {
-      throw CompileError({}, std::string(flag) + " value '" + text +
-                                 "' is out of range (max " +
-                                 std::to_string(max_value) + ")");
-    }
-    value = value * 10 + digit;
-  }
-  return value;
-}
-
-std::uint64_t parse_u64_flag(const char* flag, const std::string& text) {
-  return parse_u64_flag(flag, text,
-                        std::numeric_limits<std::uint64_t>::max());
-}
-
-int parse_int_flag(const char* flag, const std::string& text) {
-  return static_cast<int>(parse_u64_flag(
-      flag, text,
-      static_cast<std::uint64_t>(std::numeric_limits<int>::max())));
 }
 
 std::string load_spec_text(const std::string& arg) {
@@ -311,7 +255,6 @@ struct Cli {
   std::string listen;              // serve --listen=<host:port>
   std::string connect;             // submit --connect=<host:port>
   std::string spec_ref;            // submit --spec=<registry ref>
-  std::string order_name = "io";   // --order token, for the hello frame
   bool static_mode = false;        // submit --static
   int workers = 4;                 // serve --workers=N
   std::size_t queue_max = 16;      // serve --queue-max=N
@@ -340,28 +283,19 @@ std::size_t edit_distance(const std::string& a, const std::string& b) {
 
 /// A typo'd flag ("--no-static-prun", "--invariant-prune") dies with the
 /// nearest real flag named instead of a bare "unknown option".
-[[noreturn]] void unknown_option(const std::string& a) {
-  static const char* kFlags[] = {
-      "--verbose",         "--all-orders",       "--invalid",
-      "--size=",           "--order=",           "--disable-ip=",
-      "--unobservable-ip=", "--partial",         "--initial-state-search",
-      "--hash-states",     "--checkpoint=",      "--hash-impl=",
-      "--no-reorder",      "--max-transitions=", "--max-depth=",
-      "--deadline=",       "--max-memory=",      "--item-retries=",
-      "--jobs=",           "--deterministic",    "--no-static-prune",
-      "--no-invariant-prune", "--passes=",       "--format=",
-      "--visited-max=",    "--batch",            "--script",
-      "--seed=",           "--iterations=",      "--engines=",
-      "--chunk=",          "--stats",            "--out-dir",
-      "--events-dir",      "--events",           "--ignore=",
-      "--listen=",         "--connect=",         "--spec=",
-      "--static",          "--workers=",         "--queue-max=",
-      "--max-sessions=",   "--chunk-size=",      "--chunk-delay=",
-      "--version"};
+/// `candidates` are the other flags parse_cli tried, "=" marking a value.
+[[noreturn]] void unknown_option(const std::string& a,
+                                 std::vector<std::string> candidates) {
+  for (const core::OptionRow& row : core::option_rows()) {
+    if ((row.surfaces & core::kCli) != 0) {
+      candidates.push_back(std::string(row.flag) +
+                           (row.arg.empty() ? "" : "="));
+    }
+  }
   const std::string name = a.substr(0, a.find('='));
   std::string best;
   std::size_t best_d = std::string::npos;
-  for (const char* f : kFlags) {
+  for (const std::string& f : candidates) {
     std::string candidate = f;
     if (!candidate.empty() && candidate.back() == '=') candidate.pop_back();
     const std::size_t d = edit_distance(name, candidate);
@@ -381,164 +315,68 @@ std::size_t edit_distance(const std::string& a, const std::string& b) {
 Cli parse_cli(int argc, char** argv, int first) {
   Cli cli;
   for (int i = first; i < argc; ++i) {
-    std::string a = argv[i];
-    auto value = [&](const std::string& prefix) {
-      return a.substr(prefix.size());
+    const std::string a = argv[i];
+    std::vector<std::string> tried;  // did-you-mean candidates
+    const auto flag = [&](const char* name, bool& out) {
+      tried.emplace_back(name);
+      if (a != name) return false;
+      out = true;
+      return true;
     };
-    if (a == "--verbose") {
-      cli.verbose = true;
-    } else if (a == "--all-orders") {
-      cli.all_orders = true;
-    } else if (a == "--invalid") {
-      cli.invalid = true;
-    } else if (starts_with(a, "--size=")) {
-      cli.size = parse_int_flag("--size", value("--size="));
-    } else if (starts_with(a, "--order=")) {
-      std::string m = value("--order=");
-      if (m == "none") cli.options = core::Options::none();
-      else if (m == "io") cli.options = core::Options::io();
-      else if (m == "ip") cli.options = core::Options::ip();
-      else if (m == "full") cli.options = core::Options::full();
-      else throw CompileError({}, "bad --order value '" + m + "'");
-      cli.order_name = m;
-    } else if (starts_with(a, "--disable-ip=")) {
-      cli.options.disabled_ips.push_back(to_lower(value("--disable-ip=")));
-    } else if (starts_with(a, "--unobservable-ip=")) {
-      cli.options.unobservable_ips.push_back(
-          to_lower(value("--unobservable-ip=")));
-      cli.options.partial = true;
-    } else if (a == "--partial") {
-      cli.options.partial = true;
-    } else if (a == "--initial-state-search") {
-      cli.options.initial_state_search = true;
-    } else if (a == "--hash-states") {
-      cli.options.hash_states = true;
-    } else if (starts_with(a, "--checkpoint=")) {
-      std::string m = value("--checkpoint=");
-      if (m == "copy") cli.options.checkpoint = core::CheckpointMode::Copy;
-      else if (m == "trail") {
-        cli.options.checkpoint = core::CheckpointMode::Trail;
-      } else {
-        throw CompileError({}, "bad --checkpoint value '" + m +
-                                   "' (expected copy or trail)");
+    // `--name=<v>`; `spaced` flags also take `--name <v>`.
+    const auto text = [&](const std::string& name, std::string& out,
+                          bool spaced = false) {
+      tried.push_back(spaced ? name : name + "=");
+      if (spaced && a == name) {
+        if (i + 1 >= argc) throw CompileError({}, name + " needs a value");
+        out = argv[++i];
+        return true;
       }
-    } else if (starts_with(a, "--hash-impl=")) {
-      std::string m = value("--hash-impl=");
-      if (m == "incremental") {
-        cli.options.hash_impl = core::HashImpl::Incremental;
-      } else if (m == "full") {
-        cli.options.hash_impl = core::HashImpl::Full;
-      } else {
-        throw CompileError({}, "bad --hash-impl value '" + m +
-                                   "' (expected incremental or full)");
-      }
-    } else if (a == "--no-reorder") {
-      cli.options.reorder_pg_nodes = false;
-    } else if (starts_with(a, "--max-transitions=")) {
-      cli.options.max_transitions =
-          parse_u64_flag("--max-transitions", value("--max-transitions="));
-    } else if (starts_with(a, "--max-depth=")) {
-      cli.options.max_depth =
-          parse_int_flag("--max-depth", value("--max-depth="));
-    } else if (starts_with(a, "--deadline=")) {
-      cli.options.deadline_ms =
-          parse_u64_flag("--deadline", value("--deadline="));
-    } else if (starts_with(a, "--max-memory=")) {
-      cli.options.max_memory =
-          parse_u64_flag("--max-memory", value("--max-memory="));
-    } else if (starts_with(a, "--item-retries=")) {
-      cli.options.item_retries =
-          parse_int_flag("--item-retries", value("--item-retries="));
-    } else if (starts_with(a, "--jobs=")) {
-      cli.options.jobs = parse_int_flag("--jobs", value("--jobs="));
-    } else if (a == "--deterministic") {
-      cli.options.deterministic = true;
-    } else if (a == "--no-static-prune") {
-      cli.options.static_prune = false;
-    } else if (a == "--no-invariant-prune") {
-      cli.options.invariant_prune = false;
-    } else if (starts_with(a, "--passes=")) {
-      cli.passes = value("--passes=");
-    } else if (starts_with(a, "--format=")) {
-      cli.format = value("--format=");
+      if (!starts_with(a, name + "=")) return false;
+      out = a.substr(name.size() + 1);
+      return true;
+    };
+    const auto number = [&](const std::string& name, auto& out) {
+      using T = std::remove_reference_t<decltype(out)>;
+      std::string v;
+      if (!text(name, v)) return false;
+      out = static_cast<T>(parse_flag_u64(
+          name, v,
+          static_cast<std::uint64_t>(std::numeric_limits<T>::max())));
+      return true;
+    };
+    if (core::parse_cli_option(a, cli.options) ||
+        flag("--verbose", cli.verbose) || flag("--invalid", cli.invalid) ||
+        flag("--all-orders", cli.all_orders) ||
+        flag("--static", cli.static_mode) || number("--size", cli.size) ||
+        number("--seed", cli.seed) || number("--iterations", cli.iterations) ||
+        number("--chunk", cli.chunk) || number("--workers", cli.workers) ||
+        number("--queue-max", cli.queue_max) ||
+        number("--max-sessions", cli.max_sessions) ||
+        number("--chunk-size", cli.chunk_size) ||
+        number("--chunk-delay", cli.chunk_delay_ms) ||
+        text("--passes", cli.passes) || text("--engines", cli.engines) ||
+        text("--ignore", cli.ignore_keys) || text("--listen", cli.listen) ||
+        text("--connect", cli.connect) || text("--spec", cli.spec_ref) ||
+        text("--batch", cli.batch_dir, true) ||
+        text("--script", cli.script, true) ||
+        text("--stats", cli.stats_path, true) ||
+        text("--out-dir", cli.out_dir, true) ||
+        text("--events-dir", cli.events_dir, true) ||
+        text("--events", cli.events_path, true) ||
+        text("-o", cli.output, true)) {
+      continue;
+    }
+    if (text("--format", cli.format)) {
       if (cli.format != "text" && cli.format != "json" &&
           cli.format != "sarif") {
         throw CompileError({}, "bad --format value '" + cli.format +
                                    "' (expected text, json or sarif)");
       }
-    } else if (starts_with(a, "--visited-max=")) {
-      cli.options.visited_max =
-          parse_u64_flag("--visited-max", value("--visited-max="));
-    } else if (starts_with(a, "--batch")) {
-      if (a == "--batch" && i + 1 >= argc) {
-        throw CompileError({}, "--batch needs a directory");
-      }
-      cli.batch_dir = a == "--batch" ? argv[++i] : value("--batch=");
-    } else if (starts_with(a, "--script")) {
-      cli.script = a == "--script" ? argv[++i] : value("--script=");
-    } else if (starts_with(a, "--seed=")) {
-      cli.seed = static_cast<std::uint32_t>(
-          parse_u64_flag("--seed", value("--seed="),
-                         std::numeric_limits<std::uint32_t>::max()));
-    } else if (starts_with(a, "--iterations=")) {
-      cli.iterations = parse_int_flag("--iterations", value("--iterations="));
-    } else if (starts_with(a, "--engines=")) {
-      cli.engines = value("--engines=");
-    } else if (starts_with(a, "--chunk=")) {
-      cli.chunk = parse_u64_flag("--chunk", value("--chunk="));
-    } else if (starts_with(a, "--stats")) {
-      if (a == "--stats" && i + 1 >= argc) {
-        throw CompileError({}, "--stats needs a file name");
-      }
-      cli.stats_path = a == "--stats" ? argv[++i] : value("--stats=");
-    } else if (starts_with(a, "--out-dir")) {
-      if (a == "--out-dir" && i + 1 >= argc) {
-        throw CompileError({}, "--out-dir needs a directory");
-      }
-      cli.out_dir = a == "--out-dir" ? argv[++i] : value("--out-dir=");
-    } else if (starts_with(a, "--events-dir")) {
-      if (a == "--events-dir" && i + 1 >= argc) {
-        throw CompileError({}, "--events-dir needs a directory");
-      }
-      cli.events_dir =
-          a == "--events-dir" ? argv[++i] : value("--events-dir=");
-    } else if (starts_with(a, "--events")) {
-      if (a == "--events" && i + 1 >= argc) {
-        throw CompileError({}, "--events needs a file name");
-      }
-      cli.events_path = a == "--events" ? argv[++i] : value("--events=");
-    } else if (starts_with(a, "--ignore=")) {
-      cli.ignore_keys = value("--ignore=");
-    } else if (starts_with(a, "--listen=")) {
-      cli.listen = value("--listen=");
-    } else if (starts_with(a, "--connect=")) {
-      cli.connect = value("--connect=");
-    } else if (starts_with(a, "--spec=")) {
-      cli.spec_ref = value("--spec=");
-    } else if (a == "--static") {
-      cli.static_mode = true;
-    } else if (starts_with(a, "--workers=")) {
-      cli.workers = parse_int_flag("--workers", value("--workers="));
-    } else if (starts_with(a, "--queue-max=")) {
-      cli.queue_max = static_cast<std::size_t>(
-          parse_u64_flag("--queue-max", value("--queue-max=")));
-    } else if (starts_with(a, "--max-sessions=")) {
-      cli.max_sessions =
-          parse_u64_flag("--max-sessions", value("--max-sessions="));
-    } else if (starts_with(a, "--chunk-size=")) {
-      cli.chunk_size = static_cast<std::size_t>(
-          parse_u64_flag("--chunk-size", value("--chunk-size=")));
-    } else if (starts_with(a, "--chunk-delay=")) {
-      cli.chunk_delay_ms =
-          parse_u64_flag("--chunk-delay", value("--chunk-delay="));
-    } else if (a == "-o") {
-      if (i + 1 >= argc) throw CompileError({}, "-o needs a file name");
-      cli.output = argv[++i];
-    } else if (starts_with(a, "--")) {
-      unknown_option(a);
-    } else {
-      cli.positional.push_back(a);
+      continue;
     }
+    if (starts_with(a, "--")) unknown_option(a, std::move(tried));
+    cli.positional.push_back(a);
   }
   return cli;
 }
@@ -712,15 +550,12 @@ int cmd_analyze(const Cli& cli) {
   if (cli.all_orders) {
     std::printf("%-6s %-12s %10s %10s %10s %10s %8s\n", "mode", "verdict",
                 "TE", "GE", "RE", "SA", "cpu(ms)");
-    for (const auto& [name, opts] :
-         {std::pair{"NR", core::Options::none()},
-          std::pair{"IO", core::Options::io()},
-          std::pair{"IP", core::Options::ip()},
-          std::pair{"FULL", core::Options::full()}}) {
-      core::Options o = opts;
-      o.max_transitions = cli.options.max_transitions;
+    for (const char* order : {"none", "io", "ip", "full"}) {
+      core::Options o = cli.options;
+      core::apply_order(o, order);
       core::DfsResult r = core::analyze(spec, trace, o);
-      std::printf("%-6s %-12s %10llu %10llu %10llu %10llu %8.2f\n", name,
+      std::printf("%-6s %-12s %10llu %10llu %10llu %10llu %8.2f\n",
+                  o.order_mode_name().c_str(),
                   std::string(core::to_string(r.verdict)).c_str(),
                   static_cast<unsigned long long>(
                       r.stats.transitions_executed),
@@ -1189,7 +1024,7 @@ std::pair<std::string, std::uint16_t> parse_host_port(const std::string& s,
                                s + "'");
   }
   const std::uint16_t port = static_cast<std::uint16_t>(
-      parse_u64_flag(flag, s.substr(colon + 1), 65535));
+      parse_flag_u64(flag, s.substr(colon + 1), 65535));
   return {s.substr(0, colon), port};
 }
 
@@ -1258,16 +1093,11 @@ int cmd_submit(const Cli& cli) {
   if (!host.empty()) so.host = host;
   so.port = port;
   so.spec = cli.spec_ref;
-  so.order = cli.order_name;
+  so.order = core::order_name(cli.options);
   so.mode = cli.static_mode ? "static" : "online";
   so.chunk_size = cli.chunk_size;
   so.chunk_delay_ms = cli.chunk_delay_ms;
-  so.hash_states = cli.options.hash_states;
-  so.max_transitions = cli.options.max_transitions;
-  so.deadline_ms = cli.options.deadline_ms;
-  so.max_memory = cli.options.max_memory;
-  so.max_depth = cli.options.max_depth;
-  so.jobs = cli.options.jobs;
+  so.options = cli.options;
 
   const std::string text = tr::read_trace_text(cli.positional[0]);
   const srv::SubmitResult r = srv::submit_trace(text, so);

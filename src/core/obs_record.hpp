@@ -1,7 +1,7 @@
 // Glue between the engines and the observability layer (src/obs/): the
-// run-header / enter / node / verdict emission the DFS and MDFS share,
-// the replay-relevant option fingerprint that rides in the header's
-// `flags` object, and the tiny context the generator needs to attribute
+// run-header / enter / node / verdict emission the DFS and MDFS share
+// (the header's `flags` object comes from core/option_table.hpp), and the
+// tiny context the generator needs to attribute
 // its prune events to the node being expanded.
 #pragma once
 
@@ -10,7 +10,6 @@
 
 #include "core/options.hpp"
 #include "core/stats.hpp"
-#include "obs/json.hpp"
 #include "obs/sink.hpp"
 
 namespace tango::core {
@@ -25,16 +24,6 @@ struct ObsCtx {
   std::int32_t worker = -1;
   std::int32_t depth = 0;
 };
-
-/// The options that determine replay semantics, as a JSON object (sorted
-/// keys, no whitespace). Excludes tuning that cannot change any event's
-/// meaning (poll cadence, interpreter limits).
-[[nodiscard]] std::string options_flags_json(const Options& options);
-
-/// Inverse of options_flags_json: overlays the recorded flags onto
-/// `out` (other fields keep their current values). Throws
-/// std::runtime_error on a malformed flags object.
-void options_from_flags(const obs::JsonValue& flags, Options& out);
 
 /// Emits the stream's `run` header.
 void emit_run_header(obs::Sink& sink, const est::Spec& spec,

@@ -4,6 +4,7 @@
 #include <memory>
 #include <sstream>
 
+#include "core/option_table.hpp"
 #include "core/parallel_dfs.hpp"
 #include "obs/sink.hpp"
 #include "support/text.hpp"
@@ -42,15 +43,6 @@ std::vector<Engine> parse_engines(std::string_view csv) {
     }
   }
   return engines;
-}
-
-const std::array<OrderPreset, 4>& order_presets() {
-  static const std::array<OrderPreset, 4> presets = {
-      OrderPreset{"NR", core::Options::none()},
-      OrderPreset{"IO", core::Options::io()},
-      OrderPreset{"IP", core::Options::ip()},
-      OrderPreset{"FULL", core::Options::full()}};
-  return presets;
 }
 
 core::Verdict to_verdict(core::OnlineStatus s) {
@@ -160,36 +152,23 @@ MatrixResult run_matrix(const est::Spec& spec, const tr::Trace& trace,
     std::ofstream(capture->dir + "/" + trace_ref, std::ios::binary)
         << tr::to_text(spec, trace);
   }
-  for (const OrderPreset& preset : order_presets()) {
+  for (const char* order : kOrderPresets) {
     MatrixColumn column;
-    column.order = preset.name;
-    core::Options options = preset.options;
-    options.initial_state_search = base.initial_state_search;
-    options.disabled_ips = base.disabled_ips;
-    options.unobservable_ips = base.unobservable_ips;
-    options.partial = base.partial;
-    options.reorder_pg_nodes = base.reorder_pg_nodes;
-    options.prune_on_pgav = base.prune_on_pgav;
-    options.max_transitions = base.max_transitions;
-    options.max_depth = base.max_depth;
-    options.deadline_ms = base.deadline_ms;
-    options.checkpoint = base.checkpoint;
-    options.interp = base.interp;
-    options.jobs = base.jobs;
-    options.deterministic = base.deterministic;
-    options.visited_max = base.visited_max;
+    column.order = order;
+    core::Options options = base;
+    core::apply_order(options, to_lower(order));
     for (Engine e : engines) {
       std::unique_ptr<obs::JsonlSink> sink;
       if (capture != nullptr) {
         sink = std::make_unique<obs::JsonlSink>(
-            capture->dir + "/" + capture->stem + "-" + preset.name + "-" +
+            capture->dir + "/" + capture->stem + "-" + order + "-" +
             std::string(to_string(e)) + ".jsonl");
         sink->set_refs(capture->spec_ref, trace_ref);
         options.sink = sink.get();
       }
       EngineRun run = run_engine(spec, trace, options, e, chunk);
       options.sink = nullptr;  // the sink dies with this cell
-      run.order = preset.name;
+      run.order = order;
       column.runs.push_back(std::move(run));
     }
 

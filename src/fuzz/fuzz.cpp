@@ -267,8 +267,8 @@ FuzzReport run_fuzz(const FuzzConfig& config, std::ostream* log) {
       if (!aborted) {
         if (so.recording == sim::InputRecording::AtConsumption) {
           // O1: fully observed recording — valid under every preset.
-          for (const OrderPreset& p : order_presets()) {
-            v.expectations.push_back(Expectation{p.name, core::Verdict::Valid});
+          for (const char* order : kOrderPresets) {
+            v.expectations.push_back(Expectation{order, core::Verdict::Valid});
           }
         } else if (sim.completed) {
           // O1 under queued observation: only NR is sound (§2.4.2), and
@@ -283,8 +283,8 @@ FuzzReport run_fuzz(const FuzzConfig& config, std::ostream* log) {
       Variant v{"mutate-last-output",
                 sim::mutate_last_output_param(sim.trace),
                 {}};
-      for (const OrderPreset& p : order_presets()) {
-        v.expectations.push_back(Expectation{p.name, core::Verdict::Invalid});
+      for (const char* order : kOrderPresets) {
+        v.expectations.push_back(Expectation{order, core::Verdict::Invalid});
       }
       variants.push_back(std::move(v));
     }

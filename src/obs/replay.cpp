@@ -6,7 +6,7 @@
 
 #include "core/executor.hpp"
 #include "core/generator.hpp"
-#include "core/obs_record.hpp"
+#include "core/option_table.hpp"
 #include "core/options.hpp"
 #include "core/search_state.hpp"
 #include "core/stats.hpp"
@@ -137,7 +137,7 @@ class Replayer {
     try {
       const JsonValue flags = parse_json(header.flags.empty() ? std::string("{}")
                                                               : header.flags);
-      core::options_from_flags(flags, options_);
+      core::read_options(flags, core::kHeader, options_);
     } catch (const std::exception& ex) {
       issue(0, std::string("bad run-header flags: ") + ex.what());
       return false;

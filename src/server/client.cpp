@@ -4,6 +4,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/option_table.hpp"
 #include "server/framing.hpp"
 #include "server/net.hpp"
 #include "support/text.hpp"
@@ -83,25 +84,24 @@ SubmitResult submit_trace(const std::string& trace_text,
   SubmitResult result;
   ignore_sigpipe();
 
+  Frame hello;
+  hello.type = FrameType::Hello;
+  hello.spec = opts.spec;
+  hello.mode = opts.mode;
+  hello.version = kTangoVersion;
+  core::Options options = opts.options;
+  if (!core::apply_order(options, opts.order)) {
+    result.error = "unknown order '" + opts.order + "'";
+    return result;
+  }
+  hello.options_json = core::write_options(options, core::kHello);
+
   std::string err;
   OwnedFd fd(connect_to(opts.host, opts.port, err));
   if (!fd.valid()) {
     result.error = err;
     return result;
   }
-
-  Frame hello;
-  hello.type = FrameType::Hello;
-  hello.spec = opts.spec;
-  hello.order = opts.order;
-  hello.mode = opts.mode;
-  hello.version = kTangoVersion;
-  hello.hash_states = opts.hash_states;
-  hello.max_transitions = opts.max_transitions;
-  hello.deadline_ms = opts.deadline_ms;
-  hello.max_memory = opts.max_memory;
-  hello.max_depth = opts.max_depth;
-  hello.jobs = opts.jobs;
   if (!send_all(fd.get(), encode_frame(hello))) {
     result.error = "failed to send hello";
     return result;

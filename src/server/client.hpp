@@ -9,24 +9,24 @@
 #include <string>
 #include <vector>
 
+#include "core/options.hpp"
+
 namespace tango::srv {
 
 struct SubmitOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
   std::string spec;           // registry ref, e.g. "builtin:abp"
-  std::string order = "io";   // none | io | ip | full
+  /// none | io | ip | full; replaces the order checks in `options`.
+  std::string order = "io";
   std::string mode = "online";
   /// Trace lines per chunk frame; 0 sends the whole trace as one chunk.
   std::size_t chunk_size = 0;
   /// Sleep between chunk frames (lets MDFS quiesce between growths).
   std::uint64_t chunk_delay_ms = 0;
-  bool hash_states = false;
-  std::uint64_t max_transitions = 0;
-  std::uint64_t deadline_ms = 0;
-  std::uint64_t max_memory = 0;
-  std::int64_t max_depth = 0;
-  std::int64_t jobs = 1;
+  /// Analysis options: the hello carries their Hello rows
+  /// (core/option_table.hpp) that differ from a default Options.
+  core::Options options;
   /// Overall wait for server replies, per read.
   int reply_timeout_ms = 30000;
 };

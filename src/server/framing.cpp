@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "core/option_table.hpp"
 #include "obs/json.hpp"
 
 namespace tango::srv {
@@ -16,13 +17,6 @@ void append_str(std::string& out, const char* key, std::string_view v) {
 }
 
 void append_u64(std::string& out, const char* key, std::uint64_t v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(v);
-}
-
-void append_i64(std::string& out, const char* key, std::int64_t v) {
   out += ",\"";
   out += key;
   out += "\":";
@@ -64,23 +58,6 @@ std::uint64_t opt_u64(const obs::JsonValue& v, const char* key) {
   return static_cast<std::uint64_t>(m->integer);
 }
 
-std::int64_t opt_i64(const obs::JsonValue& v, const char* key,
-                     std::int64_t fallback = 0) {
-  const obs::JsonValue* m = v.find(key);
-  if (m == nullptr) return fallback;
-  if (!m->is_number() || !m->is_integer) {
-    bad(std::string("member '") + key + "' must be an integer");
-  }
-  return m->integer;
-}
-
-bool opt_bool(const obs::JsonValue& v, const char* key) {
-  const obs::JsonValue* m = v.find(key);
-  if (m == nullptr) return false;
-  if (!m->is_bool()) bad(std::string("member '") + key + "' must be a boolean");
-  return m->boolean;
-}
-
 }  // namespace
 
 std::string serialize(const Frame& f) {
@@ -90,17 +67,12 @@ std::string serialize(const Frame& f) {
   switch (f.type) {
     case FrameType::Hello:
       append_str(out, "spec", f.spec);
-      append_str(out, "order", f.order);
       append_str(out, "mode", f.mode);
       if (!f.version.empty()) append_str(out, "version", f.version);
-      if (f.hash_states) append_bool(out, "hash_states", true);
-      if (f.max_transitions != 0) {
-        append_u64(out, "max_transitions", f.max_transitions);
+      if (f.options_json.size() > 2) {  // splice the members in
+        out += ',';
+        out.append(f.options_json, 1, f.options_json.size() - 2);
       }
-      if (f.deadline_ms != 0) append_u64(out, "deadline_ms", f.deadline_ms);
-      if (f.max_memory != 0) append_u64(out, "max_memory", f.max_memory);
-      if (f.max_depth != 0) append_i64(out, "max_depth", f.max_depth);
-      if (f.jobs != 1) append_i64(out, "jobs", f.jobs);
       break;
     case FrameType::Chunk:
       append_str(out, "text", f.text);
@@ -163,18 +135,18 @@ Frame parse_frame(std::string_view payload) {
   if (type == "hello") {
     f.type = FrameType::Hello;
     f.spec = require_string(doc, "spec", "hello");
-    f.order = opt_string(doc, "order", "io");
     f.mode = opt_string(doc, "mode", "online");
     if (f.mode != "online" && f.mode != "static") {
       bad("hello frame: mode must be 'online' or 'static'");
     }
     f.version = opt_string(doc, "version");
-    f.hash_states = opt_bool(doc, "hash_states");
-    f.max_transitions = opt_u64(doc, "max_transitions");
-    f.deadline_ms = opt_u64(doc, "deadline_ms");
-    f.max_memory = opt_u64(doc, "max_memory");
-    f.max_depth = opt_i64(doc, "max_depth");
-    f.jobs = opt_i64(doc, "jobs", 1);
+    core::Options scratch;  // validates the option members
+    try {
+      core::read_options(doc, core::kHello, scratch);
+    } catch (const std::exception& e) {
+      bad(std::string("hello frame: ") + e.what());
+    }
+    f.options_json = obs::canonical(doc, {"type", "spec", "mode", "version"});
   } else if (type == "chunk") {
     f.type = FrameType::Chunk;
     f.text = require_string(doc, "text", "chunk");

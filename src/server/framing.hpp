@@ -21,7 +21,7 @@ namespace tango::srv {
 
 /// Version of the frame vocabulary. The server reports it in `accepted`;
 /// bump on any frame/member rename, removal, or semantic change.
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /// Upper bound on one frame's payload. Large enough for any realistic
 /// trace chunk, small enough that a hostile length prefix cannot make the
@@ -68,15 +68,11 @@ struct Frame {
 
   // hello
   std::string spec;           // registry ref: "builtin:abp" or preloaded path
-  std::string order = "io";   // none | io | ip | full
   std::string mode = "online";  // online (MDFS) | static (DFS/ParDfs at eof)
   std::string version;        // client build, informational
-  bool hash_states = false;
-  std::uint64_t max_transitions = 0;
-  std::uint64_t deadline_ms = 0;
-  std::uint64_t max_memory = 0;
-  std::int64_t max_depth = 0;
-  std::int64_t jobs = 1;      // static mode: analyze_parallel workers
+  /// The other members, the analysis options (core/option_table.hpp), as
+  /// a JSON object.
+  std::string options_json = "{}";
 
   // chunk
   std::string text;

@@ -5,8 +5,10 @@
 #include <vector>
 
 #include "core/fault.hpp"
+#include "core/option_table.hpp"
 #include "core/parallel_dfs.hpp"
 #include "core/session.hpp"
+#include "obs/json.hpp"
 #include "obs/schema.hpp"
 #include "obs/sink.hpp"
 #include "server/framing.hpp"
@@ -65,34 +67,6 @@ void pump_socket(Conn& c, int timeout_ms, std::vector<Frame>& out) {
   while (c.decoder.next(payload)) out.push_back(parse_frame(payload));
 }
 
-/// Overlays the hello frame's analysis options on the host defaults.
-core::Options options_from_hello(const core::Options& base,
-                                 const Frame& hello) {
-  core::Options o = base;
-  core::Options preset;
-  if (hello.order == "none" || hello.order == "nr") {
-    preset = core::Options::none();
-  } else if (hello.order == "io") {
-    preset = core::Options::io();
-  } else if (hello.order == "ip") {
-    preset = core::Options::ip();
-  } else if (hello.order == "full") {
-    preset = core::Options::full();
-  } else {
-    throw FramingError("hello frame: unknown order '" + hello.order + "'");
-  }
-  o.check_input_wrt_output = preset.check_input_wrt_output;
-  o.check_output_wrt_input = preset.check_output_wrt_input;
-  o.check_ip_order = preset.check_ip_order;
-  if (hello.hash_states) o.hash_states = true;
-  if (hello.max_transitions != 0) o.max_transitions = hello.max_transitions;
-  if (hello.deadline_ms != 0) o.deadline_ms = hello.deadline_ms;
-  if (hello.max_memory != 0) o.max_memory = hello.max_memory;
-  if (hello.max_depth != 0) o.max_depth = static_cast<int>(hello.max_depth);
-  o.jobs = static_cast<int>(hello.jobs);
-  return o;
-}
-
 void send_final(const Conn& c, std::string_view status, std::string_view reason,
                 const core::Stats& stats) {
   Frame v;
@@ -139,10 +113,15 @@ void run_online(Conn& c, const SessionContext& ctx, const PreparedSpec& ps,
   core::AnalysisSession session(ps.spec, source, std::move(cfg));
 
   bool cancelled = false;
+  // Search from the first chunk or eof on, like `tango online` on a file:
+  // MDFS can conclude on the empty prefix before it (say, when every input
+  // ip is disabled).
+  bool fed = false;
   while (true) {
     // Absorb whatever the client sent; block only when the search is
     // quiescent (waiting on more trace), never while it has work.
-    const bool busy = session.status() == core::OnlineStatus::Searching;
+    const bool busy =
+        fed && session.status() == core::OnlineStatus::Searching;
     std::vector<Frame> frames = std::move(pending);
     pending.clear();
     pump_socket(c, busy || !frames.empty() ? 0 : 2, frames);
@@ -150,9 +129,11 @@ void run_online(Conn& c, const SessionContext& ctx, const PreparedSpec& ps,
       switch (f.type) {
         case FrameType::Chunk:
           source.push_chunk(f.text);
+          fed = true;
           break;
         case FrameType::Eof:
           source.push_eof();
+          fed = true;
           break;
         case FrameType::Cancel:
           cancelled = true;
@@ -174,7 +155,7 @@ void run_online(Conn& c, const SessionContext& ctx, const PreparedSpec& ps,
       return;
     }
 
-    session.pump(ctx.config->steps_per_round);
+    if (fed) session.pump(ctx.config->steps_per_round);
 
     if (session.conclusive()) {
       session.finalize_stream();
@@ -200,7 +181,7 @@ void run_online(Conn& c, const SessionContext& ctx, const PreparedSpec& ps,
 }
 
 /// Static mode: buffer the whole trace, then one analyze_parallel run
-/// with the hello's jobs (1, the default, searches inline).
+/// with the session's jobs (1 searches inline).
 void run_static(Conn& c, const SessionContext& ctx, const PreparedSpec& ps,
                 const core::Options& opts, std::vector<Frame> pending) {
   std::string text;
@@ -280,7 +261,9 @@ void run_session(int fd, const SessionContext& ctx) {
                         "' (the server preloads its specs at startup)");
       return;
     }
-    core::Options opts = options_from_hello(ctx.config->default_options, hello);
+    core::Options opts = ctx.config->default_options;
+    core::read_options(obs::parse_json(hello.options_json), core::kHello,
+                       opts);
     opts.prebuilt_guard_matrix =
         ps->select(opts.invariant_prune, opts.initial_state_search);
 

@@ -19,8 +19,8 @@ class SpecRegistry;
 /// Host-level knobs every session shares (owned by the Server; read-only
 /// here).
 struct SessionConfig {
-  /// Base options; the hello frame overlays order preset, hash_states,
-  /// budgets and jobs on a copy.
+  /// Base options; the hello frame overlays its members on a copy
+  /// (core::read_options), and can only tighten the budgets and jobs.
   core::Options default_options;
   /// Non-empty: each session writes its obs event stream (docs/EVENTS.md)
   /// to <events_dir>/session-<id>.jsonl.

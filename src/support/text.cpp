@@ -2,6 +2,8 @@
 
 #include <cctype>
 
+#include "support/diagnostics.hpp"
+
 namespace tango {
 
 namespace {
@@ -51,6 +53,27 @@ std::vector<std::string_view> split(std::string_view s, char delim) {
 
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
+}
+
+std::uint64_t parse_flag_u64(std::string_view flag, std::string_view text,
+                             std::uint64_t max_value) {
+  const std::string name(flag);
+  if (text.empty()) throw CompileError({}, name + " needs a number");
+  std::uint64_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') {
+      throw CompileError({}, "bad " + name + " value '" + std::string(text) +
+                                 "' (expected a non-negative integer)");
+    }
+    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (max_value - digit) / 10) {
+      throw CompileError({}, name + " value '" + std::string(text) +
+                                 "' is out of range (max " +
+                                 std::to_string(max_value) + ")");
+    }
+    value = value * 10 + digit;
+  }
+  return value;
 }
 
 }  // namespace tango

@@ -15,11 +15,13 @@
 #include <vector>
 
 #include "core/dfs.hpp"
+#include "core/option_table.hpp"
 #include "core/parallel_dfs.hpp"
 #include "estelle/spec.hpp"
 #include "fuzz/differential.hpp"
 #include "fuzz/fuzz.hpp"
 #include "specs/builtin_specs.hpp"
+#include "support/text.hpp"
 #include "trace/trace_io.hpp"
 
 #ifndef TANGO_FUZZ_ITERATIONS
@@ -56,8 +58,9 @@ TEST(ParallelDiff, GoldenTracesAgreeUnderEveryPresetAndJobCount) {
   for (const Golden& golden : goldens()) {
     est::Spec spec = est::compile_spec(specs::builtin_spec(golden.spec));
     tr::Trace trace = load_golden(spec, golden);
-    for (const fuzz::OrderPreset& preset : fuzz::order_presets()) {
-      Options options = preset.options;
+    for (const char* order : fuzz::kOrderPresets) {
+      Options options;
+      apply_order(options, to_lower(order));
       options.initial_state_search = golden.initial_state_search;
       options.max_transitions = 200'000;
       const DfsResult seq = analyze(spec, trace, options);
@@ -68,7 +71,7 @@ TEST(ParallelDiff, GoldenTracesAgreeUnderEveryPresetAndJobCount) {
           par_options.deterministic = deterministic;
           const DfsResult par = analyze_parallel(spec, trace, par_options);
           EXPECT_EQ(par.verdict, seq.verdict)
-              << golden.trace_file << " order=" << preset.name
+              << golden.trace_file << " order=" << order
               << " jobs=" << jobs << " deterministic=" << deterministic;
         }
       }

@@ -98,6 +98,47 @@ TEST(CliRobust, ResourceFlagsAreAccepted) {
   EXPECT_NE(r.output.find("verdict: valid"), std::string::npos) << r.output;
 }
 
+// --order= used to assign a whole preset, silently undoing every analysis
+// flag before it: a budget written first was lifted again.
+TEST(CliRobust, OrderKeepsEarlierFlags) {
+  const RunResult r = run_cli("analyze builtin:abp " + valid_trace() +
+                              " --max-transitions=1 --order=full");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("verdict: inconclusive"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("transitions"), std::string::npos) << r.output;
+
+  const std::filesystem::path events =
+      std::filesystem::path(testing::TempDir()) / "cli_robust_order.jsonl";
+  const RunResult hashed = run_cli(
+      "analyze builtin:abp " + valid_trace() +
+      " --hash-states --visited-max=10 --order=io --events " +
+      events.string());
+  EXPECT_EQ(hashed.exit_code, 0) << hashed.output;
+  std::ifstream in(events);
+  std::string header;
+  std::getline(in, header);
+  EXPECT_NE(header.find("\"hash_states\":true"), std::string::npos)
+      << header;
+  EXPECT_NE(header.find("\"visited_max\":10"), std::string::npos) << header;
+  std::filesystem::remove(events);
+}
+
+// --all-orders used to keep only --max-transitions from the command line.
+TEST(CliRobust, AllOrdersKeepsEveryOtherOption) {
+  const RunResult r =
+      run_cli("analyze builtin:tp0 " + std::string(TANGO_TRACES_DIR) +
+              "/tp0_valid.tr --all-orders --max-depth=2");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  for (const char* mode : {"NR ", "IO ", "IP ", "FULL "}) {
+    const std::size_t row = r.output.find(std::string("\n") + mode);
+    ASSERT_NE(row, std::string::npos) << mode << r.output;
+    const std::string line =
+        r.output.substr(row + 1, r.output.find('\n', row + 1) - row - 1);
+    EXPECT_NE(line.find("inconclusive"), std::string::npos) << line;
+  }
+}
+
 TEST(CliRobust, DeterministicAppliesWithOneJob) {
   // --deterministic is honoured at --jobs=1 too: the stream's run header
   // names the work-stealing schedule ("par"), not the inline search.

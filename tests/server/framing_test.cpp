@@ -9,45 +9,73 @@
 
 #include <string>
 
+#include "core/option_table.hpp"
+#include "obs/json.hpp"
+
 namespace tango::srv {
 namespace {
 
 Frame round_trip(const Frame& f) { return parse_frame(serialize(f)); }
 
 TEST(Framing, HelloRoundTripCarriesEveryOption) {
+  // Each option member's own encoding is the option table's, pinned per
+  // row in tests/core/option_table_test.cpp; the frame carries them all.
+  core::Options o = core::Options::full();
+  o.initial_state_search = true;
+  o.partial = true;
+  o.disabled_ips = {"u"};
+  o.unobservable_ips = {"n"};
+  o.hash_states = true;
+  o.max_transitions = 123'456;
+  o.deadline_ms = 9'000;
+  o.max_memory = 1'000'000;
+  o.max_depth = 77;
+  o.jobs = 4;
   Frame f;
   f.type = FrameType::Hello;
   f.spec = "builtin:abp";
-  f.order = "full";
   f.mode = "static";
   f.version = "0.10.0";
-  f.hash_states = true;
-  f.max_transitions = 123'456;
-  f.deadline_ms = 9'000;
-  f.max_memory = 1'000'000;
-  f.max_depth = 77;
-  f.jobs = 4;
+  f.options_json = core::write_options(o, core::kHello);
   const Frame g = round_trip(f);
   EXPECT_EQ(g.type, FrameType::Hello);
   EXPECT_EQ(g.spec, "builtin:abp");
-  EXPECT_EQ(g.order, "full");
   EXPECT_EQ(g.mode, "static");
   EXPECT_EQ(g.version, "0.10.0");
-  EXPECT_TRUE(g.hash_states);
-  EXPECT_EQ(g.max_transitions, 123'456u);
-  EXPECT_EQ(g.deadline_ms, 9'000u);
-  EXPECT_EQ(g.max_memory, 1'000'000u);
-  EXPECT_EQ(g.max_depth, 77);
-  EXPECT_EQ(g.jobs, 4);
+  EXPECT_EQ(g.options_json, f.options_json);
+  for (const core::OptionRow& row : core::option_rows()) {
+    if ((row.surfaces & core::kHello) == 0) continue;
+    EXPECT_NE(g.options_json.find("\"" + std::string(row.key) + "\":"),
+              std::string::npos)
+        << row.key;
+  }
 }
 
 TEST(Framing, HelloDefaultsApplyWhenMembersAreOmitted) {
   const Frame g = parse_frame(R"({"type":"hello","spec":"builtin:ack"})");
   EXPECT_EQ(g.spec, "builtin:ack");
-  EXPECT_EQ(g.order, "io");
   EXPECT_EQ(g.mode, "online");
-  EXPECT_FALSE(g.hash_states);
-  EXPECT_EQ(g.jobs, 1);
+  EXPECT_EQ(g.options_json, "{}");
+  // Absent option members leave the server's defaults untouched.
+  core::Options server = core::Options::full();
+  server.hash_states = true;
+  server.jobs = 4;
+  core::Options session = server;
+  core::read_options(obs::parse_json(g.options_json), core::kHello, session);
+  EXPECT_EQ(core::write_options(session, core::kHeader),
+            core::write_options(server, core::kHeader));
+}
+
+TEST(Framing, HelloOverlaysOnlyHelloOptions) {
+  const Frame g = parse_frame(
+      R"({"type":"hello","spec":"a","order":"nr","jobs":2,"visited_max":9,)"
+      R"("colour":"blue"})");
+  core::Options session;
+  session.jobs = 4;
+  core::read_options(obs::parse_json(g.options_json), core::kHello, session);
+  EXPECT_EQ(core::order_name(session), "none");
+  EXPECT_EQ(session.jobs, 2);
+  EXPECT_EQ(session.visited_max, 0u);  // not a hello row
 }
 
 TEST(Framing, ChunkRoundTripPreservesArbitraryText) {
@@ -155,6 +183,15 @@ TEST(Framing, IllTypedMembersAreFramingErrors) {
                FramingError);
   EXPECT_THROW(
       (void)parse_frame(R"({"type":"hello","spec":"a","mode":"psychic"})"),
+      FramingError);
+  EXPECT_THROW(
+      (void)parse_frame(R"({"type":"hello","spec":"a","order":"sideways"})"),
+      FramingError);
+  EXPECT_THROW(
+      (void)parse_frame(R"({"type":"hello","spec":"a","max_depth":-1})"),
+      FramingError);
+  EXPECT_THROW(
+      (void)parse_frame(R"({"type":"hello","spec":"a","disabled_ips":[1]})"),
       FramingError);
 }
 

@@ -155,6 +155,42 @@ TEST(CliServe, SigtermDrainsAndExitsZero) {
   EXPECT_EQ(serve.wait(/*term=*/true), 0);
 }
 
+// submit used to forward only the order, hash_states, budgets and jobs:
+// an ip option the session never saw was silently ignored.
+TEST(CliSubmit, OptionErrorsMatchAnalyze) {
+  ServeProcess serve("--max-sessions=2");
+  ASSERT_NE(serve.port(), 0) << serve.banner();
+  for (const char* flag : {" --disable-ip=nosuch", " --unobservable-ip=m"}) {
+    const RunResult analyze =
+        run_cli("analyze builtin:abp " + valid_trace() + flag);
+    ASSERT_EQ(analyze.exit_code, 2) << analyze.output;
+    const std::string message =
+        analyze.output.substr(analyze.output.find(": ") + 2);
+    const RunResult submit =
+        run_cli("submit " + valid_trace() + " --connect=127.0.0.1:" +
+                std::to_string(serve.port()) + " --spec=builtin:abp" + flag);
+    EXPECT_EQ(submit.exit_code, 2) << submit.output;
+    EXPECT_NE(submit.output.find(message), std::string::npos)
+        << submit.output << " vs " << message;
+  }
+  EXPECT_EQ(serve.wait(/*term=*/false), 0);
+}
+
+// A client's budget used to replace the server's; now the tighter wins.
+TEST(CliServe, ServerBudgetCapsTheClient) {
+  ServeProcess serve("--max-transitions=1");
+  ASSERT_NE(serve.port(), 0) << serve.banner();
+  const RunResult r = run_cli(
+      "submit " + valid_trace() + " --connect=127.0.0.1:" +
+      std::to_string(serve.port()) +
+      " --spec=builtin:abp --max-transitions=1000000");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("verdict: inconclusive"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("transitions"), std::string::npos) << r.output;
+  EXPECT_EQ(serve.wait(/*term=*/true), 0);
+}
+
 TEST(CliSubmit, ConnectionRefusedIsATransportError) {
   // Port 1 on loopback: nothing listens there.
   const RunResult r = run_cli("submit " + valid_trace() +

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -19,10 +20,15 @@
 #include <vector>
 
 #include "core/dfs.hpp"
+#include "core/parallel_dfs.hpp"
 #include "core/fault.hpp"
+#include "core/option_table.hpp"
+#include "obs/json.hpp"
 #include "server/client.hpp"
 #include "server/framing.hpp"
 #include "server/net.hpp"
+#include "server/registry.hpp"
+#include "trace/trace_io.hpp"
 
 namespace tango::srv {
 namespace {
@@ -79,8 +85,51 @@ SubmitOptions base_options(const Golden& g, const char* order) {
   o.port = ServerLoopback::server_->port();
   o.spec = g.spec_ref;
   o.order = order;
-  o.max_transitions = 200'000;
+  o.options.max_transitions = 200'000;
   return o;
+}
+
+/// A server of its own for tests that need other session defaults; its
+/// sessions record event streams to `events_dir` when that is non-empty.
+class PrivateServer {
+ public:
+  explicit PrivateServer(const core::Options& defaults,
+                         const std::string& events_dir = "")
+      : server_(std::make_shared<const SpecRegistry>(
+                    SpecRegistry::with_builtins()),
+                config(defaults, events_dir)) {
+    server_.start();
+  }
+  ~PrivateServer() { stop(); }
+  [[nodiscard]] std::uint16_t port() const { return server_.port(); }
+  /// Joins the workers, so every session's event stream is complete.
+  void stop() { server_.shutdown(); }
+
+ private:
+  static ServerConfig config(const core::Options& defaults,
+                             const std::string& events_dir) {
+    ServerConfig c;
+    c.session.default_options = defaults;
+    c.session.events_dir = events_dir;
+    return c;
+  }
+  Server server_;
+};
+
+std::string events_dir(const std::string& name) {
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / ("loopback_" + name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string();
+}
+
+/// The run header of a session's recorded event stream.
+obs::JsonValue run_header(const std::string& dir, std::uint64_t session) {
+  std::ifstream in(dir + "/session-" + std::to_string(session) + ".jsonl");
+  std::string line;
+  std::getline(in, line);
+  return obs::parse_json(line);
 }
 
 TEST_F(ServerLoopback, SingleChunkOnlineMatchesOneShotVerdicts) {
@@ -127,13 +176,24 @@ TEST_F(ServerLoopback, StaticModeMatchesOneShotVerdicts) {
 }
 
 TEST_F(ServerLoopback, StaticModeWithJobsRunsTheParallelEngine) {
+  // A hello's jobs is capped by the server's, so this session needs a
+  // server configured like `tango serve --jobs=4`.
+  const std::string dir = events_dir("static_jobs");
+  core::Options defaults;
+  defaults.jobs = 4;
+  PrivateServer server(defaults, dir);
   const Golden& g = kGoldens[0];
   SubmitOptions o = base_options(g, "io");
+  o.port = server.port();
   o.mode = "static";
-  o.jobs = 4;
+  o.options.jobs = 4;
   const SubmitResult r = submit_trace(read_file(g.trace_file), o);
   ASSERT_TRUE(r.completed) << r.error;
   EXPECT_EQ(r.final_status, "valid");
+  server.stop();
+  const obs::JsonValue header = run_header(dir, r.session_id);
+  EXPECT_EQ(header.find("engine")->string, "par");
+  EXPECT_EQ(header.find("flags")->find("jobs")->integer, 4);
 }
 
 TEST_F(ServerLoopback, SlowTrickleReportsInterimAssessments) {
@@ -164,6 +224,119 @@ TEST_F(ServerLoopback, UnknownOrderIsAStructuredError) {
   const SubmitResult r = submit_trace(read_file(kGoldens[0].trace_file), o);
   EXPECT_FALSE(r.completed);
   EXPECT_NE(r.error.find("order"), std::string::npos) << r.error;
+}
+
+// --- hello reach: the server honours every Hello row like analyze -------
+
+/// What `tango analyze` answers for these options: the verdict token, or
+/// the message of the error it stops with.
+struct Outcome {
+  bool error = false;
+  std::string text;
+};
+
+Outcome analyze_outcome(const est::Spec& spec, const std::string& text,
+                        const core::Options& options) {
+  try {
+    const tr::Trace trace = tr::parse_trace(spec, text);
+    return {false, std::string(core::to_string(
+                       core::analyze_parallel(spec, trace, options).verdict))};
+  } catch (const std::exception& e) {
+    return {true, e.what()};
+  }
+}
+
+TEST_F(ServerLoopback, HelloOptionsMatchAnalyzeOverTheGoldens) {
+  const SpecRegistry registry = SpecRegistry::with_builtins();
+  for (const Golden& g : kGoldens) {
+    const est::Spec& spec = registry.find(g.spec_ref)->spec;
+    const std::string text = read_file(g.trace_file);
+    core::Options base = core::Options::io();
+    base.max_transitions = 200'000;
+    std::vector<core::Options> variants(5, base);
+    variants[0].disabled_ips = {spec.ips.front().name};
+    variants[1].disabled_ips = {"nosuch"};
+    variants[2].unobservable_ips = {spec.ips.back().name};
+    variants[3].unobservable_ips = {"m"};
+    variants[4].initial_state_search = true;
+    for (const core::Options& v : variants) {
+      // The CLI implies --partial with --unobservable-ip; the client here
+      // leaves it unset, so the server must imply it too.
+      core::Options expected = v;
+      expected.partial = !v.unobservable_ips.empty();
+      const Outcome want = analyze_outcome(spec, text, expected);
+      for (const char* mode : {"online", "static"}) {
+        SubmitOptions o = base_options(g, "io");
+        o.mode = mode;
+        o.options = v;
+        const SubmitResult r = submit_trace(text, o);
+        const std::string what = std::string(g.trace_file) + " " + mode +
+                                 " " + core::write_options(v, core::kHello);
+        if (want.error) {
+          EXPECT_FALSE(r.completed) << what;
+          EXPECT_NE(r.error.find(want.text), std::string::npos)
+              << what << ": " << r.error << " vs " << want.text;
+        } else {
+          ASSERT_TRUE(r.completed) << what << ": " << r.error;
+          EXPECT_EQ(r.final_status, want.text) << what;
+        }
+      }
+    }
+  }
+}
+
+// --- limits: a client may only tighten the server's ---------------------
+
+TEST(ServerLimits, AClientCannotRaiseTheServersBudgets) {
+  struct Case {
+    std::uint64_t core::Options::*budget;
+    const char* reason;
+  };
+  for (const Case c : {Case{&core::Options::max_transitions, "transitions"},
+                       Case{&core::Options::max_memory, "memory"}}) {
+    core::Options defaults;
+    defaults.*c.budget = 1;
+    PrivateServer server(defaults);
+    SubmitOptions o;
+    o.port = server.port();
+    o.spec = "builtin:abp";
+    o.options.*c.budget = 1'000'000'000;
+    const SubmitResult r = submit_trace(read_file("abp_valid.tr"), o);
+    ASSERT_TRUE(r.completed) << r.error;
+    EXPECT_EQ(r.final_status, "inconclusive") << c.reason;
+    EXPECT_EQ(r.reason, c.reason);
+  }
+}
+
+TEST(ServerLimits, AClientCannotRaiseTheServersDepthBound) {
+  core::Options defaults;
+  defaults.max_depth = 1;
+  PrivateServer server(defaults);
+  SubmitOptions o;
+  o.port = server.port();
+  o.spec = "builtin:abp";
+  o.mode = "static";
+  o.options.max_depth = 1'000'000;
+  const SubmitResult r = submit_trace(read_file("abp_valid.tr"), o);
+  ASSERT_TRUE(r.completed) << r.error;
+  EXPECT_EQ(r.final_status, "inconclusive");
+  EXPECT_EQ(r.reason, "depth");
+}
+
+TEST(ServerLimits, AClientCannotRaiseTheServersJobs) {
+  const std::string dir = events_dir("jobs_cap");
+  PrivateServer server(core::Options{}, dir);  // jobs 1, like `tango serve`
+  SubmitOptions o;
+  o.port = server.port();
+  o.spec = "builtin:abp";
+  o.mode = "static";
+  o.options.jobs = 4;
+  const SubmitResult r = submit_trace(read_file("abp_valid.tr"), o);
+  ASSERT_TRUE(r.completed) << r.error;
+  EXPECT_EQ(r.final_status, "valid");
+  server.stop();
+  const obs::JsonValue header = run_header(dir, r.session_id);
+  EXPECT_EQ(header.find("flags")->find("jobs")->integer, 1);
 }
 
 // --- raw-socket tests (drive the wire directly) ---------------------------
@@ -203,8 +376,7 @@ Frame hello_frame(const char* spec) {
   Frame h;
   h.type = FrameType::Hello;
   h.spec = spec;
-  h.order = "io";
-  h.max_transitions = 200'000;
+  h.options_json = R"({"max_transitions":200000,"order":"io"})";
   return h;
 }
 
@@ -341,7 +513,8 @@ TEST(ServerFaultInjection, ScopedDeadlineFaultConcludesOneSession) {
   SubmitOptions o;
   o.port = server.port();
   o.spec = "builtin:abp";
-  o.deadline_ms = 600'000;  // arms the governor; the fault forces expiry
+  // Arms the governor; the fault forces expiry.
+  o.options.deadline_ms = 600'000;
   const std::string text = read_file("abp_valid.tr");
 
   // Session 1 hits the injected deadline; session 2 (same options, out of
