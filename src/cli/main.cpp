@@ -609,13 +609,12 @@ int cmd_online(const Cli& cli) {
     config.options.sink = events.get();
   }
   core::OnlineAnalyzer analyzer(spec, follower, config);
-  core::OnlineStatus last = core::OnlineStatus::Searching;
   while (!analyzer.conclusive()) {
-    core::OnlineStatus s = analyzer.step_round(8192);
-    if (s != last && cli.verbose) {
+    analyzer.step_round(8192);
+    core::OnlineStatus s;
+    if (cli.verbose && analyzer.take_status_change(s)) {
       std::cerr << "status: " << core::to_string(s) << " (events so far: "
                 << analyzer.trace().events().size() << ")\n";
-      last = s;
     }
     if (analyzer.conclusive()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -829,29 +828,31 @@ int events_usage() {
   return 2;
 }
 
+void print_read_errors(std::ostream& os, const std::string& path,
+                       const obs::ReadResult& rr) {
+  for (const obs::ReadError& e : rr.errors) {
+    os << path << ":" << e.line << ": " << e.message << "\n";
+  }
+}
+
 int cmd_events_check(const Cli& cli) {
   bool clean = true;
   for (std::size_t i = 1; i < cli.positional.size(); ++i) {
     const std::string& path = cli.positional[i];
-    std::vector<obs::SchemaError> errors;
-    if (obs::validate_stream(read_file(path), errors)) {
+    const obs::ReadResult rr = obs::read_events(read_file(path));
+    if (rr.errors.empty()) {
       std::cout << path << ": ok\n";
       continue;
     }
     clean = false;
-    for (const obs::SchemaError& e : errors) {
-      std::cout << path << ":" << e.line << ": " << e.message << "\n";
-    }
+    print_read_errors(std::cout, path, rr);
   }
   return clean ? 0 : 1;
 }
 
 int cmd_events_stats(const Cli& cli) {
-  obs::ReadResult rr = obs::read_events_file(cli.positional[1]);
-  for (const obs::ReadError& e : rr.errors) {
-    std::cerr << cli.positional[1] << ":" << e.line << ": " << e.message
-              << "\n";
-  }
+  const obs::ReadResult rr = obs::read_events_file(cli.positional[1]);
+  print_read_errors(std::cerr, cli.positional[1], rr);
   std::cout << obs::stats_to_json(obs::summarize(rr.events)) << "\n";
   return rr.errors.empty() ? 0 : 1;
 }
@@ -903,10 +904,8 @@ int cmd_events_diff(const Cli& cli) {
   return 0;
 }
 
-int replay_one(const est::Spec& spec, const tr::Trace& trace,
-               const std::string& stream_path, bool verbose) {
-  const obs::ReplayReport report =
-      obs::replay_stream(spec, trace, read_file(stream_path));
+int print_replay(const std::string& stream_path,
+                 const obs::ReplayReport& report, bool verbose) {
   if (report.ok()) {
     std::cout << stream_path << ": ok — engine " << report.engine
               << ", verdict " << report.verdict << ", "
@@ -940,29 +939,36 @@ int cmd_events_replay(const Cli& cli) {
           0) {
     est::Spec spec = compile_with_warnings(load_spec_text(cli.positional[1]));
     tr::Trace trace = tr::parse_trace(spec, read_file(cli.positional[2]));
-    return replay_one(spec, trace, cli.positional[3], cli.verbose);
+    return print_replay(
+        cli.positional[3],
+        obs::replay_stream(spec, trace, read_file(cli.positional[3])),
+        cli.verbose);
   }
   int rc = 0;
   for (std::size_t i = 1; i < cli.positional.size(); ++i) {
     const std::string& path = cli.positional[i];
-    obs::ReadResult rr = obs::read_events_file(path);
-    if (rr.events.empty() || rr.events[0].kind != obs::EventKind::Run ||
-        rr.events[0].spec_ref.empty() || rr.events[0].trace_ref.empty()) {
+    const obs::ReadResult rr = obs::read_events_file(path);
+    if (!rr.errors.empty()) {
+      print_read_errors(std::cout, path, rr);
+      rc = 1;
+      continue;
+    }
+    const obs::Event& header = rr.events.front();  // a clean stream has one
+    if (header.spec_ref.empty() || header.trace_ref.empty()) {
       std::cout << path << ": run header lacks spec_ref/trace_ref; use "
                    "`tango events replay <spec> <trace> <stream>`\n";
       rc = 1;
       continue;
     }
-    est::Spec spec =
-        compile_with_warnings(load_spec_text(rr.events[0].spec_ref));
+    est::Spec spec = compile_with_warnings(load_spec_text(header.spec_ref));
     // trace_ref is relative to the stream's directory (fuzz sidecars).
-    std::filesystem::path trace_path(rr.events[0].trace_ref);
+    std::filesystem::path trace_path(header.trace_ref);
     if (trace_path.is_relative()) {
       trace_path = std::filesystem::path(path).parent_path() / trace_path;
     }
     tr::Trace trace =
         tr::parse_trace(spec, read_file(trace_path.string()));
-    rc |= replay_one(spec, trace, path, cli.verbose);
+    rc |= print_replay(path, obs::replay(spec, trace, rr.events), cli.verbose);
   }
   return rc;
 }

@@ -71,6 +71,19 @@ class OnlineAnalyzer {
   [[nodiscard]] OnlineStatus status() const;
   [[nodiscard]] bool conclusive() const;
 
+  /// Reports an assessment edge: true (and fills `now`) when the status
+  /// differs from the one this method last reported. The first call
+  /// reports the current status unless it is still Searching — hosts
+  /// forward these edges (the server as interim `verdict` frames, `tango
+  /// online --verbose` as status lines).
+  [[nodiscard]] bool take_status_change(OnlineStatus& now) {
+    const OnlineStatus s = status();
+    if (s == last_reported_) return false;
+    last_reported_ = s;
+    now = s;
+    return true;
+  }
+
   /// Concludes Inconclusive with `reason` unless already conclusive — the
   /// cancellation path for externally driven sessions (client `cancel`
   /// frames, server drain on SIGTERM). Call between step_round rounds; a
@@ -134,6 +147,7 @@ class OnlineAnalyzer {
   bool verdict_emitted_ = false;
   bool concluded_ = false;
   OnlineStatus final_status_ = OnlineStatus::Searching;
+  OnlineStatus last_reported_ = OnlineStatus::Searching;  // take_status_change
 };
 
 }  // namespace tango::core

@@ -12,7 +12,6 @@
 #include "core/stats.hpp"
 #include "estelle/spec.hpp"
 #include "obs/json.hpp"
-#include "obs/schema.hpp"
 #include "obs/stream.hpp"
 #include "runtime/interp.hpp"
 
@@ -433,24 +432,13 @@ ReplayReport replay(const est::Spec& spec, const tr::Trace& trace,
 
 ReplayReport replay_stream(const est::Spec& spec, const tr::Trace& trace,
                            const std::string& text) {
-  std::vector<SchemaError> schema_errors;
-  if (!validate_stream(text, schema_errors)) {
-    ReplayReport report;
-    for (const SchemaError& err : schema_errors) {
-      report.issues.push_back(
-          {err.line, "schema: " + err.message});
-    }
-    return report;
+  const ReadResult stream = read_events(text);
+  if (stream.errors.empty()) return replay(spec, trace, stream.events);
+  ReplayReport report;
+  for (const ReadError& err : stream.errors) {
+    report.issues.push_back({err.line, "schema: " + err.message});
   }
-  ReadResult rr = read_events(text);
-  if (!rr.errors.empty()) {
-    ReplayReport report;
-    for (const ReadError& err : rr.errors) {
-      report.issues.push_back({err.line, "parse: " + err.message});
-    }
-    return report;
-  }
-  return replay(spec, trace, rr.events);
+  return report;
 }
 
 }  // namespace tango::obs

@@ -54,9 +54,8 @@ struct ReplayReport {
                                   const tr::Trace& trace,
                                   const std::vector<Event>& events);
 
-/// Schema-validates `text` (docs/schema/search_events.schema.json rules),
-/// parses it, and replays. Schema violations become issues; replay runs
-/// only on a schema-clean stream.
+/// Reads `text` with read_events and replays it. A stream with read
+/// errors is not replayed: each error becomes an issue instead.
 [[nodiscard]] ReplayReport replay_stream(const est::Spec& spec,
                                          const tr::Trace& trace,
                                          const std::string& text);

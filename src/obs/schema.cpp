@@ -1,320 +1,291 @@
 #include "obs/schema.hpp"
 
-#include <cctype>
-#include <cstdint>
-#include <stdexcept>
-#include <string_view>
-#include <unordered_set>
-
-#include "obs/event.hpp"
+#include <algorithm>
+#include <charconv>
+#include <cinttypes>
+#include <cstdio>
+#include <type_traits>
 
 namespace tango::obs {
 
 namespace {
 
-enum class FieldType : std::uint8_t { Int, Bool, Str, Hash, Obj };
+using enum FieldType;
+using enum Presence;
 
-enum class Need : std::uint8_t {
-  Required,  // must be present
-  Optional,  // may be present
-  IfOk,      // present iff the event's "ok" field is true
-};
+constexpr std::string_view kEngines[] = {"dfs", "mdfs", "par", "batch"};
+constexpr std::string_view kVerdicts[] = {
+    "valid", "invalid", "inconclusive", "valid so far", "likely invalid"};
+constexpr std::string_view kReasons[] = {"transitions", "depth", "deadline",
+                                         "memory", "shutdown"};
 
-struct FieldRule {
-  const char* name;
-  FieldType type;
-  Need need;
-};
+constexpr Field kId{"id", Int, Required, &Event::id, 1};
+constexpr Field kParent{"parent", Int, Required, &Event::parent, 0};
+constexpr Field kWorker{"worker", Int, Required, &Event::worker, -1};
+constexpr Field kDepth{"depth", Int, Required, &Event::depth, 0};
+constexpr Field kTransition{"transition", Int, Required, &Event::transition,
+                            0};
+constexpr Field kCount{"count", Int, Required, &Event::count, 0};
+constexpr Field kOk{"ok", Bool, Required, &Event::ok};
+constexpr Field kAllDone{"all_done", Bool, IfOk, &Event::all_done};
+constexpr Field kNewHash{"state_hash", Hash, IfOk, &Event::state_hash};
 
-constexpr FieldRule kRunRules[] = {
-    {"version", FieldType::Int, Need::Required},
-    {"engine", FieldType::Str, Need::Required},
-    {"spec", FieldType::Str, Need::Required},
-    {"spec_ref", FieldType::Str, Need::Required},
-    {"trace_ref", FieldType::Str, Need::Required},
-    {"order", FieldType::Str, Need::Required},
-    {"flags", FieldType::Obj, Need::Required},
+constexpr Field kRun[] = {
+    {"version", Int, Required, &Event::version},
+    {"engine", Str, Required, &Event::engine, kNoMinimum, kEngines},
+    {"spec", Str, Required, &Event::spec},
+    {"spec_ref", Str, Required, &Event::spec_ref},
+    {"trace_ref", Str, Required, &Event::trace_ref},
+    {"order", Str, Required, &Event::order},
+    {"flags", Obj, Required, &Event::flags},
 };
-constexpr FieldRule kEnterRules[] = {
-    {"id", FieldType::Int, Need::Required},
-    {"worker", FieldType::Int, Need::Required},
-    {"init", FieldType::Int, Need::Required},
-    {"start_state", FieldType::Int, Need::Required},
-    {"applied", FieldType::Bool, Need::Required},
-    {"ok", FieldType::Bool, Need::Required},
-    {"all_done", FieldType::Bool, Need::IfOk},
-    {"state_hash", FieldType::Hash, Need::IfOk},
+constexpr Field kEnter[] = {
+    kId,
+    kWorker,
+    {"init", Int, Required, &Event::init},
+    {"start_state", Int, Required, &Event::start_state},
+    {"applied", Bool, Required, &Event::applied},
+    kOk,
+    kAllDone,
+    kNewHash,
 };
-constexpr FieldRule kFireRules[] = {
-    {"id", FieldType::Int, Need::Required},
-    {"parent", FieldType::Int, Need::Required},
-    {"worker", FieldType::Int, Need::Required},
-    {"depth", FieldType::Int, Need::Required},
-    {"transition", FieldType::Int, Need::Required},
-    {"input_event", FieldType::Int, Need::Required},
-    {"synthesized", FieldType::Bool, Need::Optional},
-    {"ok", FieldType::Bool, Need::Required},
-    {"retry", FieldType::Bool, Need::Optional},
-    {"all_done", FieldType::Bool, Need::IfOk},
-    {"state_hash", FieldType::Hash, Need::IfOk},
+constexpr Field kFire[] = {
+    kId,
+    kParent,
+    kWorker,
+    kDepth,
+    kTransition,
+    {"input_event", Int, Required, &Event::input_event, -1},
+    {"synthesized", Bool, NonDefault, &Event::synthesized},
+    kOk,
+    {"retry", Bool, NonDefault, &Event::retry},
+    kAllDone,
+    kNewHash,
 };
-constexpr FieldRule kNodeRules[] = {
-    {"parent", FieldType::Int, Need::Required},
-    {"worker", FieldType::Int, Need::Required},
-    {"depth", FieldType::Int, Need::Required},
-};
-constexpr FieldRule kPruneVisitedRules[] = {
-    {"parent", FieldType::Int, Need::Required},
-    {"worker", FieldType::Int, Need::Required},
-    {"depth", FieldType::Int, Need::Required},
-    {"state_hash", FieldType::Hash, Need::Required},
-};
-constexpr FieldRule kPruneStaticRules[] = {
-    {"parent", FieldType::Int, Need::Required},
-    {"worker", FieldType::Int, Need::Required},
-    {"depth", FieldType::Int, Need::Required},
-    {"transition", FieldType::Int, Need::Required},
-};
-constexpr FieldRule kCountedRules[] = {
-    {"parent", FieldType::Int, Need::Required},
-    {"worker", FieldType::Int, Need::Required},
-    {"depth", FieldType::Int, Need::Required},
-    {"count", FieldType::Int, Need::Required},
-};
-constexpr FieldRule kEvictRules[] = {
-    {"worker", FieldType::Int, Need::Required},
-    {"count", FieldType::Int, Need::Required},
-};
-constexpr FieldRule kVerdictRules[] = {
-    {"parent", FieldType::Int, Need::Required},
-    {"verdict", FieldType::Str, Need::Required},
-    // v2: exhausted-resource tag on inconclusive verdicts; writers omit it
-    // entirely otherwise.
-    {"reason", FieldType::Str, Need::Optional},
-    {"stats", FieldType::Obj, Need::Required},
+constexpr Field kNode[] = {kParent, kWorker, kDepth};
+constexpr Field kPruneVisited[] = {
+    kParent, kWorker, kDepth,
+    {"state_hash", Hash, Required, &Event::state_hash}};
+constexpr Field kPruneStatic[] = {kParent, kWorker, kDepth, kTransition};
+constexpr Field kCounted[] = {kParent, kWorker, kDepth, kCount};
+constexpr Field kEvict[] = {kWorker, kCount};
+constexpr Field kVerdict[] = {
+    kParent,
+    {"verdict", Str, Required, &Event::verdict, kNoMinimum, kVerdicts},
+    {"reason", Str, NonDefault, &Event::reason, kNoMinimum, kReasons},
+    {"stats", Obj, Required, &Event::stats_json},
 };
 
-struct RuleSet {
-  const FieldRule* rules;
-  std::size_t count;
+/// Indexed by EventKind.
+constexpr std::span<const Field> kTable[] = {
+    kRun,          // run
+    kEnter,        // enter
+    kFire,         // fire
+    kNode,         // backtrack
+    kPruneVisited,  // prune.visited
+    kPruneStatic,  // prune.static
+    kCounted,      // prune.shadow
+    kCounted,      // checkpoint.save
+    kCounted,      // checkpoint.restore
+    kNode,         // steal
+    kEvict,        // evict
+    kVerdict,      // verdict
 };
+static_assert(std::size(kTable) ==
+              static_cast<std::size_t>(EventKind::Verdict) + 1);
 
-RuleSet rules_for(EventKind kind) {
-  switch (kind) {
-    case EventKind::Run: return {kRunRules, std::size(kRunRules)};
-    case EventKind::Enter: return {kEnterRules, std::size(kEnterRules)};
-    case EventKind::Fire: return {kFireRules, std::size(kFireRules)};
-    case EventKind::Backtrack:
-    case EventKind::Steal: return {kNodeRules, std::size(kNodeRules)};
-    case EventKind::PruneVisited:
-      return {kPruneVisitedRules, std::size(kPruneVisitedRules)};
-    case EventKind::PruneStatic:
-      return {kPruneStaticRules, std::size(kPruneStaticRules)};
-    case EventKind::PruneShadow:
-    case EventKind::CheckpointSave:
-    case EventKind::CheckpointRestore:
-      return {kCountedRules, std::size(kCountedRules)};
-    case EventKind::Evict: return {kEvictRules, std::size(kEvictRules)};
-    case EventKind::Verdict: return {kVerdictRules, std::size(kVerdictRules)};
-  }
-  return {nullptr, 0};
+template <class T>
+constexpr bool kIsInt = std::is_integral_v<T> && !std::is_same_v<T, bool>;
+
+/// The member of `e` a row names; const when `e` is.
+template <class T, class E>
+auto& at(E& e, const Member& m) {
+  return e.*std::get<T Event::*>(m);
 }
 
-bool is_hash_string(const JsonValue& v) {
-  if (!v.is_string() || v.string.size() != 16) return false;
-  for (const char c : v.string) {
-    if (std::isxdigit(static_cast<unsigned char>(c)) == 0) return false;
+bool written(const Field& f, const Event& e) {
+  static const Event kDefaults;
+  switch (f.presence) {
+    case Required: return true;
+    case IfOk: return e.ok;
+    case NonDefault:
+      return std::visit([&](auto p) { return e.*p != kDefaults.*p; },
+                        f.member);
   }
   return true;
 }
 
-const char* type_name(FieldType t) {
-  switch (t) {
-    case FieldType::Int: return "integer";
-    case FieldType::Bool: return "boolean";
-    case FieldType::Str: return "string";
-    case FieldType::Hash: return "16-hex-digit string";
-    case FieldType::Obj: return "object";
+void write_value(std::string& out, const Field& f, const Event& e) {
+  char buf[24];
+  switch (f.type) {
+    case Int:
+      std::visit(
+          [&](auto p) {
+            if constexpr (kIsInt<std::remove_cvref_t<decltype(e.*p)>>) {
+              out.append(buf, std::to_chars(buf, buf + sizeof buf, e.*p).ptr);
+            }
+          },
+          f.member);
+      return;
+    case Bool:
+      out += at<bool>(e, f.member) ? "true" : "false";
+      return;
+    case Str:
+      // Shared UTF-8-validating escaper: every JSONL line is valid UTF-8
+      // even when a spec name or note carries arbitrary bytes.
+      escape_json_into(out, at<std::string>(e, f.member));
+      return;
+    case Hash:
+      std::snprintf(buf, sizeof buf, "\"%016" PRIx64 "\"",
+                    at<std::uint64_t>(e, f.member));
+      out += buf;
+      return;
+    case Obj: {
+      const std::string& json = at<std::string>(e, f.member);
+      out += json.empty() ? "{}" : json;
+      return;
+    }
   }
-  return "?";
 }
 
-bool type_matches(const JsonValue& v, FieldType t) {
-  switch (t) {
-    case FieldType::Int: return v.is_number() && v.is_integer;
-    case FieldType::Bool: return v.is_bool();
-    case FieldType::Str: return v.is_string();
-    case FieldType::Hash: return is_hash_string(v);
-    case FieldType::Obj: return v.is_object();
-  }
-  return false;
+bool is_hash(const JsonValue& v) {
+  return v.is_string() && v.string.size() == 16 &&
+         std::all_of(v.string.begin(), v.string.end(), [](char c) {
+           return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+         });
 }
 
-void add_error(std::vector<SchemaError>& errors, std::size_t line,
-               std::string message) {
-  errors.push_back({line, std::move(message)});
+/// Stores `v` into the row's member; returns what is wrong with it, or ""
+/// when it fits the row.
+std::string read_value(const Field& f, const JsonValue& v, Event& e) {
+  switch (f.type) {
+    case Int:
+      if (!v.is_number() || !v.is_integer) return "is not an integer";
+      if (v.integer < f.minimum) {
+        return "is below its minimum " + std::to_string(f.minimum);
+      }
+      std::visit(
+          [&](auto p) {
+            using T = std::remove_cvref_t<decltype(e.*p)>;
+            if constexpr (kIsInt<T>) e.*p = static_cast<T>(v.integer);
+          },
+          f.member);
+      return "";
+    case Bool:
+      if (!v.is_bool()) return "is not a boolean";
+      at<bool>(e, f.member) = v.boolean;
+      return "";
+    case Str:
+      if (!v.is_string()) return "is not a string";
+      if (!f.one_of.empty() &&
+          std::find(f.one_of.begin(), f.one_of.end(), v.string) ==
+              f.one_of.end()) {
+        std::string allowed;
+        for (std::string_view s : f.one_of) {
+          allowed += allowed.empty() ? "" : " | ";
+          allowed += s;
+        }
+        return "is '" + v.string + "', not one of " + allowed;
+      }
+      at<std::string>(e, f.member) = v.string;
+      return "";
+    case Hash:
+      if (!is_hash(v)) return "is not 16 lowercase hex digits";
+      std::from_chars(v.string.data(), v.string.data() + 16,
+                      at<std::uint64_t>(e, f.member), 16);
+      return "";
+    case Obj:
+      if (!v.is_object()) return "is not an object";
+      // Canonical form makes later comparisons field-order-insensitive.
+      at<std::string>(e, f.member) = canonical(v);
+      return "";
+  }
+  return "";
 }
 
 }  // namespace
 
-bool validate_event(const JsonValue& v, std::size_t line,
-                    std::vector<SchemaError>& errors) {
-  const std::size_t before = errors.size();
-  if (!v.is_object()) {
-    add_error(errors, line, "event is not a JSON object");
-    return false;
-  }
-  const JsonValue* kind_v = v.find("kind");
-  if (kind_v == nullptr || !kind_v->is_string()) {
-    add_error(errors, line, "missing string field 'kind'");
-    return false;
-  }
-  EventKind kind{};
-  if (!parse_kind(kind_v->string, kind)) {
-    add_error(errors, line, "unknown event kind '" + kind_v->string + "'");
-    return false;
-  }
-  const RuleSet rules = rules_for(kind);
-
-  const JsonValue* ok_v = v.find("ok");
-  const bool ok = ok_v != nullptr && ok_v->is_bool() && ok_v->boolean;
-
-  for (std::size_t i = 0; i < rules.count; ++i) {
-    const FieldRule& rule = rules.rules[i];
-    const JsonValue* field = v.find(rule.name);
-    const bool required =
-        rule.need == Need::Required || (rule.need == Need::IfOk && ok);
-    if (field == nullptr) {
-      if (required) {
-        add_error(errors, line,
-                  std::string(kind_v->string) + ": missing field '" +
-                      rule.name + "'");
-      }
-      continue;
-    }
-    if (rule.need == Need::IfOk && !ok) {
-      add_error(errors, line,
-                std::string(kind_v->string) + ": field '" + rule.name +
-                    "' present on a vetoed event");
-      continue;
-    }
-    if (!type_matches(*field, rule.type)) {
-      add_error(errors, line,
-                std::string(kind_v->string) + ": field '" + rule.name +
-                    "' is not a " + type_name(rule.type));
+bool parse_kind(std::string_view name, EventKind& out) {
+  for (int k = 0; k <= static_cast<int>(EventKind::Verdict); ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    if (to_string(kind) == name) {
+      out = kind;
+      return true;
     }
   }
-
-  // Strict about unknown keys: a typo'd field name should fail the check,
-  // not silently ride along.
-  for (const auto& [key, value] : v.object) {
-    (void)value;
-    if (key == "kind") continue;
-    bool known = false;
-    for (std::size_t i = 0; i < rules.count; ++i) {
-      if (key == rules.rules[i].name) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      add_error(errors, line,
-                std::string(kind_v->string) + ": unknown field '" + key + "'");
-    }
-  }
-  return errors.size() == before;
+  return false;
 }
 
-bool validate_stream(const std::string& text,
-                     std::vector<SchemaError>& errors) {
-  const std::size_t before = errors.size();
-  std::unordered_set<std::uint64_t> node_ids;
-  bool saw_run = false;
-  bool saw_any = false;
+std::span<const Field> fields(EventKind kind) {
+  return kTable[static_cast<std::size_t>(kind)];
+}
 
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    const std::size_t end = eol == std::string::npos ? text.size() : eol;
-    std::string_view line(text.data() + pos, end - pos);
-    pos = end + 1;
-    ++line_no;
-    if (eol == std::string::npos && line.empty()) break;
-    if (line.empty() || line.find_first_not_of(" \t\r") == std::string_view::npos) {
-      continue;
-    }
-    if (!is_valid_utf8(line)) {
-      // The writers escape every non-UTF-8 byte; a raw byte here means the
-      // stream was produced (or corrupted) by something else.
-      add_error(errors, line_no, "line is not valid UTF-8");
-      continue;
-    }
+std::string to_jsonl(const Event& e) {
+  std::string out;
+  out.reserve(160);
+  out += "{\"kind\":\"";
+  out += to_string(e.kind);
+  out += '"';
+  for (const Field& f : fields(e.kind)) {
+    if (!written(f, e)) continue;
+    out += ",\"";
+    out += f.key;
+    out += "\":";
+    write_value(out, f, e);
+  }
+  out += '}';
+  return out;
+}
 
-    JsonValue v;
-    try {
-      v = parse_json(line);
-    } catch (const std::runtime_error& err) {
-      add_error(errors, line_no, err.what());
-      continue;
-    }
-    if (!validate_event(v, line_no, errors)) continue;
-
-    const JsonValue* kind_v = v.find("kind");
-    EventKind kind{};
-    if (!parse_kind(kind_v->string, kind)) continue;  // validate_event caught it
-
-    if (!saw_any) {
-      saw_any = true;
-      if (kind != EventKind::Run) {
-        add_error(errors, line_no, "stream does not start with a run header");
-      }
-    }
-    if (kind == EventKind::Run) {
-      if (saw_run) {
-        add_error(errors, line_no, "duplicate run header");
-      }
-      saw_run = true;
-      const JsonValue* version = v.find("version");
-      if (version != nullptr && version->is_integer &&
-          version->integer != static_cast<std::int64_t>(kEventSchemaVersion)) {
-        add_error(errors, line_no,
-                  "unsupported schema version " +
-                      std::to_string(version->integer) + " (expected " +
-                      std::to_string(kEventSchemaVersion) + ")");
-      }
-      continue;
-    }
-
-    if (kind == EventKind::Enter || kind == EventKind::Fire) {
-      const JsonValue* id = v.find("id");
-      if (id != nullptr && id->is_integer) {
-        if (id->integer <= 0) {
-          add_error(errors, line_no, "node id must be positive");
-        } else if (!node_ids.insert(static_cast<std::uint64_t>(id->integer))
-                        .second) {
-          add_error(errors, line_no,
-                    "duplicate node id " + std::to_string(id->integer));
-        }
-      }
-    }
-    const JsonValue* parent = v.find("parent");
-    if (parent != nullptr && parent->is_integer && parent->integer != 0) {
-      if (parent->integer < 0 ||
-          node_ids.count(static_cast<std::uint64_t>(parent->integer)) == 0) {
-        add_error(errors, line_no,
-                  "parent " + std::to_string(parent->integer) +
-                      " does not reference an earlier enter/fire event");
-      }
-    } else if (parent != nullptr && parent->is_integer &&
-               parent->integer == 0 && kind != EventKind::Verdict) {
-      add_error(errors, line_no, "parent must be a node id (0 is only valid "
-                                 "for verdict events with no witness)");
+bool decode_event(const JsonValue& v, std::size_t line, Event& out,
+                  std::vector<ReadError>& errors) {
+  if (!v.is_object()) {
+    errors.push_back({line, "event is not a JSON object"});
+    return false;
+  }
+  const JsonValue* kind = v.find("kind");
+  if (kind == nullptr || !kind->is_string()) {
+    errors.push_back({line, "missing string field 'kind'"});
+    return false;
+  }
+  out = Event{};
+  if (!parse_kind(kind->string, out.kind)) {
+    errors.push_back({line, "unknown event kind '" + kind->string + "'"});
+    return false;
+  }
+  auto fail = [&](std::string_view key, std::string_view what) {
+    errors.push_back({line, kind->string + ": field '" + std::string(key) +
+                                "' " + std::string(what)});
+  };
+  const std::span<const Field> rows = fields(out.kind);
+  const JsonValue* ok = v.find("ok");
+  const bool is_ok = ok != nullptr && ok->is_bool() && ok->boolean;
+  for (const Field& f : rows) {
+    const JsonValue* value = v.find(f.key);
+    const bool wanted = f.presence == Required || (f.presence == IfOk && is_ok);
+    if (value == nullptr) {
+      if (wanted) fail(f.key, "is missing");
+    } else if (f.presence == IfOk && !is_ok) {
+      fail(f.key, "is present on a vetoed event");
+    } else if (const std::string what = read_value(f, *value, out);
+               !what.empty()) {
+      fail(f.key, what);
     }
   }
-
-  if (!saw_any) add_error(errors, 0, "empty event stream");
-  return errors.size() == before;
+  // Strict about unknown keys: a typo'd field name fails the check rather
+  // than silently riding along. A repeated key is an error too: JSON
+  // readers disagree on which copy counts.
+  for (const auto& [key, value] : v.object) {
+    if (key != "kind" && std::none_of(rows.begin(), rows.end(),
+                                      [&](const Field& f) {
+                                        return f.key == key;
+                                      })) {
+      fail(key, "is not a field of this kind");
+    } else if (v.find(key) != &value) {
+      fail(key, "appears twice");
+    }
+  }
+  return true;
 }
 
 }  // namespace tango::obs

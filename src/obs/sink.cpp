@@ -1,159 +1,8 @@
 #include "obs/sink.hpp"
 
-#include <cinttypes>
-#include <cstdio>
 #include <stdexcept>
 
-#include "obs/json.hpp"
-
 namespace tango::obs {
-
-bool parse_kind(std::string_view name, EventKind& out) {
-  for (int k = 0; k <= static_cast<int>(EventKind::Verdict); ++k) {
-    const auto kind = static_cast<EventKind>(k);
-    if (to_string(kind) == name) {
-      out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
-namespace {
-
-void field_str(std::string& out, const char* key, std::string_view value) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  // Shared UTF-8-validating escaper: every JSONL line is valid UTF-8 even
-  // when a spec name or note carries arbitrary bytes.
-  escape_json_into(out, value);
-}
-
-void field_u64(std::string& out, const char* key, std::uint64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += buf;
-}
-
-void field_i32(std::string& out, const char* key, std::int32_t value) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%" PRId32, value);
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += buf;
-}
-
-void field_bool(std::string& out, const char* key, bool value) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += value ? "true" : "false";
-}
-
-void field_hash(std::string& out, const char* key, std::uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
-  out += ",\"";
-  out += key;
-  out += "\":\"";
-  out += buf;
-  out += '"';
-}
-
-/// Raw JSON payload (already serialized); empty becomes {}.
-void field_raw(std::string& out, const char* key, const std::string& json) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += json.empty() ? "{}" : json;
-}
-
-void node_fields(std::string& out, const Event& e) {
-  field_u64(out, "parent", e.parent);
-  field_i32(out, "worker", e.worker);
-  field_i32(out, "depth", e.depth);
-}
-
-}  // namespace
-
-std::string to_jsonl(const Event& e) {
-  std::string out;
-  out.reserve(160);
-  out += "{\"kind\":\"";
-  out += to_string(e.kind);
-  out += '"';
-  switch (e.kind) {
-    case EventKind::Run:
-      field_u64(out, "version", e.version);
-      field_str(out, "engine", e.engine);
-      field_str(out, "spec", e.spec);
-      field_str(out, "spec_ref", e.spec_ref);
-      field_str(out, "trace_ref", e.trace_ref);
-      field_str(out, "order", e.order);
-      field_raw(out, "flags", e.flags);
-      break;
-    case EventKind::Enter:
-      field_u64(out, "id", e.id);
-      field_i32(out, "worker", e.worker);
-      field_i32(out, "init", e.init);
-      field_i32(out, "start_state", e.start_state);
-      field_bool(out, "applied", e.applied);
-      field_bool(out, "ok", e.ok);
-      if (e.ok) {
-        field_bool(out, "all_done", e.all_done);
-        field_hash(out, "state_hash", e.state_hash);
-      }
-      break;
-    case EventKind::Fire:
-      field_u64(out, "id", e.id);
-      node_fields(out, e);
-      field_i32(out, "transition", e.transition);
-      field_i32(out, "input_event", e.input_event);
-      if (e.synthesized) field_bool(out, "synthesized", true);
-      field_bool(out, "ok", e.ok);
-      if (e.retry) field_bool(out, "retry", true);
-      if (e.ok) {
-        field_bool(out, "all_done", e.all_done);
-        field_hash(out, "state_hash", e.state_hash);
-      }
-      break;
-    case EventKind::Backtrack:
-    case EventKind::Steal:
-      node_fields(out, e);
-      break;
-    case EventKind::PruneVisited:
-      node_fields(out, e);
-      field_hash(out, "state_hash", e.state_hash);
-      break;
-    case EventKind::PruneStatic:
-      node_fields(out, e);
-      field_i32(out, "transition", e.transition);
-      break;
-    case EventKind::PruneShadow:
-    case EventKind::CheckpointSave:
-    case EventKind::CheckpointRestore:
-      node_fields(out, e);
-      field_u64(out, "count", e.count);
-      break;
-    case EventKind::Evict:
-      field_i32(out, "worker", e.worker);
-      field_u64(out, "count", e.count);
-      break;
-    case EventKind::Verdict:
-      field_u64(out, "parent", e.parent);
-      field_str(out, "verdict", e.verdict);
-      if (!e.reason.empty()) field_str(out, "reason", e.reason);
-      field_raw(out, "stats", e.stats_json);
-      break;
-  }
-  out += '}';
-  return out;
-}
 
 JsonlSink::JsonlSink(const std::string& path, std::size_t ring_capacity)
     : out_(path, std::ios::binary),

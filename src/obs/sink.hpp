@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "obs/event.hpp"
+#include "obs/schema.hpp"
 
 namespace tango::obs {
 
@@ -64,12 +65,6 @@ class MemorySink final : public Sink {
   mutable std::mutex mu_;
   std::vector<Event> events_;
 };
-
-/// Serializes one event as a single JSONL line (no trailing newline).
-/// Only the fields meaningful for e.kind are written; `state_hash` is
-/// rendered as a 16-digit hex string because a 64-bit hash does not
-/// survive a double round trip.
-[[nodiscard]] std::string to_jsonl(const Event& e);
 
 /// `--events=<file>`: JSONL writer behind a fixed ring of formatted lines,
 /// flushed to the file whenever the ring fills (and on destruction), so a

@@ -1,123 +1,82 @@
 #include "obs/stream.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_set>
+
+#include "obs/json.hpp"
 
 namespace tango::obs {
 
-namespace {
-
-[[noreturn]] void bad(const std::string& what) {
-  throw std::runtime_error("event: " + what);
-}
-
-std::int64_t get_int(const JsonValue& v, const char* key, std::int64_t fallback) {
-  const JsonValue* f = v.find(key);
-  if (f == nullptr) return fallback;
-  if (!f->is_number() || !f->is_integer) {
-    bad(std::string("field '") + key + "' is not an integer");
-  }
-  return f->integer;
-}
-
-bool get_bool(const JsonValue& v, const char* key, bool fallback) {
-  const JsonValue* f = v.find(key);
-  if (f == nullptr) return fallback;
-  if (!f->is_bool()) bad(std::string("field '") + key + "' is not a boolean");
-  return f->boolean;
-}
-
-std::string get_str(const JsonValue& v, const char* key) {
-  const JsonValue* f = v.find(key);
-  if (f == nullptr) return {};
-  if (!f->is_string()) bad(std::string("field '") + key + "' is not a string");
-  return f->string;
-}
-
-std::uint64_t get_hash(const JsonValue& v, const char* key) {
-  const JsonValue* f = v.find(key);
-  if (f == nullptr) return 0;
-  if (!f->is_string()) bad(std::string("field '") + key + "' is not a string");
-  char* end = nullptr;
-  const std::uint64_t value = std::strtoull(f->string.c_str(), &end, 16);
-  if (end != f->string.c_str() + f->string.size() || f->string.empty()) {
-    bad(std::string("field '") + key + "' is not a hex hash");
-  }
-  return value;
-}
-
-/// Raw nested payloads round-trip through canonical form so downstream
-/// comparisons are field-order-insensitive.
-std::string get_raw(const JsonValue& v, const char* key) {
-  const JsonValue* f = v.find(key);
-  if (f == nullptr) return {};
-  if (!f->is_object()) bad(std::string("field '") + key + "' is not an object");
-  return canonical(*f);
-}
-
-}  // namespace
-
-Event event_from_json(const JsonValue& v) {
-  if (!v.is_object()) bad("not a JSON object");
-  const JsonValue* kind_v = v.find("kind");
-  if (kind_v == nullptr || !kind_v->is_string()) bad("missing 'kind'");
-  Event e;
-  if (!parse_kind(kind_v->string, e.kind)) {
-    bad("unknown kind '" + kind_v->string + "'");
-  }
-  e.id = static_cast<std::uint64_t>(get_int(v, "id", 0));
-  e.parent = static_cast<std::uint64_t>(get_int(v, "parent", 0));
-  e.worker = static_cast<std::int32_t>(get_int(v, "worker", -1));
-  e.depth = static_cast<std::int32_t>(get_int(v, "depth", 0));
-  e.transition = static_cast<std::int32_t>(get_int(v, "transition", -1));
-  e.input_event = static_cast<std::int32_t>(get_int(v, "input_event", -1));
-  e.init = static_cast<std::int32_t>(get_int(v, "init", -1));
-  e.start_state = static_cast<std::int32_t>(get_int(v, "start_state", -1));
-  e.synthesized = get_bool(v, "synthesized", false);
-  e.applied = get_bool(v, "applied", true);
-  e.ok = get_bool(v, "ok", false);
-  e.retry = get_bool(v, "retry", false);
-  e.all_done = get_bool(v, "all_done", false);
-  e.state_hash = get_hash(v, "state_hash");
-  e.count = static_cast<std::uint64_t>(get_int(v, "count", 0));
-  e.version = static_cast<std::uint32_t>(get_int(v, "version", 0));
-  e.engine = get_str(v, "engine");
-  e.spec = get_str(v, "spec");
-  e.spec_ref = get_str(v, "spec_ref");
-  e.trace_ref = get_str(v, "trace_ref");
-  e.order = get_str(v, "order");
-  e.flags = get_raw(v, "flags");
-  e.verdict = get_str(v, "verdict");
-  e.reason = get_str(v, "reason");
-  e.stats_json = get_raw(v, "stats");
-  return e;
-}
-
-ReadResult read_events(const std::string& text) {
+ReadResult read_events(std::string_view text) {
   ReadResult result;
+  std::unordered_set<std::uint64_t> node_ids;
+  bool saw_any = false;
+  bool saw_run = false;
   std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    const std::size_t end = eol == std::string::npos ? text.size() : eol;
-    std::string_view line(text.data() + pos, end - pos);
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t end = std::min(text.find('\n', pos), text.size());
+    const std::string_view line = text.substr(pos, end - pos);
     pos = end + 1;
     ++line_no;
-    if (line.empty() ||
-        line.find_first_not_of(" \t\r") == std::string_view::npos) {
+    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
+    auto error = [&](std::string message) {
+      result.errors.push_back({line_no, std::move(message)});
+    };
+    if (!is_valid_utf8(line)) {
+      // The writer escapes every non-UTF-8 byte; a raw byte here means the
+      // stream was produced (or corrupted) by something else.
+      error("line is not valid UTF-8");
       continue;
     }
+    JsonValue v;
     try {
-      result.events.push_back(event_from_json(parse_json(line)));
+      v = parse_json(line);
     } catch (const std::runtime_error& err) {
-      result.errors.push_back({line_no, err.what()});
+      error(err.what());
+      continue;
     }
+    const std::size_t errors_before = result.errors.size();
+    Event e;
+    if (!decode_event(v, line_no, e, result.errors)) continue;
+    // Stream rules that read a field skip lines where decoding failed,
+    // so one broken value is reported once, not again by every rule.
+    const bool clean = result.errors.size() == errors_before;
+    if (!saw_any && e.kind != EventKind::Run) {
+      error("stream does not start with a run header");
+    }
+    saw_any = true;
+    if (e.kind == EventKind::Run) {
+      if (saw_run) error("duplicate run header");
+      saw_run = true;
+      if (clean && e.version != kEventSchemaVersion) {
+        error("unsupported schema version " + std::to_string(e.version) +
+              " (expected " + std::to_string(kEventSchemaVersion) + ")");
+      }
+    }
+    // id 0 is a missing or broken id, already reported.
+    if ((e.kind == EventKind::Enter || e.kind == EventKind::Fire) &&
+        e.id != 0 && !node_ids.insert(e.id).second) {
+      error("duplicate node id " + std::to_string(e.id));
+    }
+    if (!clean) continue;
+    if (v.find("parent") != nullptr) {
+      if (e.parent == 0 && e.kind != EventKind::Verdict) {
+        error("parent must be a node id (0 is only valid for verdict "
+              "events with no witness)");
+      } else if (e.parent != 0 && node_ids.count(e.parent) == 0) {
+        error("parent " + std::to_string(e.parent) +
+              " does not reference an earlier enter/fire event");
+      }
+    }
+    result.events.push_back(std::move(e));
   }
+  if (!saw_any) result.errors.push_back({0, "empty event stream"});
   return result;
 }
 

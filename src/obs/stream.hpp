@@ -1,36 +1,34 @@
 // Reading recorded event streams back: JSONL text -> Event records, plus
-// the aggregation behind `tango events stats`. Parsing is tolerant of
-// per-line noise (each bad line becomes one error, later lines still
-// parse); use validate_stream for strict schema checking first.
+// the aggregation behind `tango events stats`. read_events is the one
+// reader behind `tango events check|stats|replay` and obs::replay_stream:
+// it decodes each line by the field table (obs/schema.hpp) and checks the
+// stream-level rules in the same pass.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/event.hpp"
-#include "obs/json.hpp"
+#include "obs/schema.hpp"
 
 namespace tango::obs {
-
-/// Converts a parsed JSON object into an Event. Throws std::runtime_error
-/// on a structurally unusable object (no/unknown kind, bad field type);
-/// unknown fields are ignored here — strictness lives in the validator.
-[[nodiscard]] Event event_from_json(const JsonValue& v);
-
-struct ReadError {
-  std::size_t line = 0;
-  std::string message;
-};
 
 struct ReadResult {
   std::vector<Event> events;
   std::vector<ReadError> errors;
 };
 
-/// Parses a whole JSONL stream; blank lines are skipped.
-[[nodiscard]] ReadResult read_events(const std::string& text);
+/// Reads a whole JSONL stream (blank lines are skipped) in one pass: each
+/// line must be valid UTF-8, parse as JSON and decode cleanly by its
+/// kind's rows; the first event must be a `run` header of version
+/// kEventSchemaVersion, there is one header, enter/fire ids are unique,
+/// and every non-zero `parent` names an earlier enter/fire id (0 only on a
+/// verdict with no witness). `events` holds the lines that decoded
+/// cleanly; the stream is well-formed exactly when `errors` is empty.
+[[nodiscard]] ReadResult read_events(std::string_view text);
 
 /// Reads and parses a JSONL file. Throws std::runtime_error when the file
 /// cannot be opened.

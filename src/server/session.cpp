@@ -5,9 +5,9 @@
 #include <vector>
 
 #include "core/fault.hpp"
+#include "core/mdfs.hpp"
 #include "core/option_table.hpp"
 #include "core/parallel_dfs.hpp"
-#include "core/session.hpp"
 #include "obs/json.hpp"
 #include "obs/schema.hpp"
 #include "obs/sink.hpp"
@@ -110,7 +110,7 @@ void run_online(Conn& c, const SessionContext& ctx, const PreparedSpec& ps,
   tr::ChunkSource source(ps.spec);
   core::OnlineConfig cfg;
   cfg.options = opts;
-  core::AnalysisSession session(ps.spec, source, std::move(cfg));
+  core::OnlineAnalyzer analyzer(ps.spec, source, std::move(cfg));
 
   bool cancelled = false;
   // Search from the first chunk or eof on, like `tango online` on a file:
@@ -121,7 +121,7 @@ void run_online(Conn& c, const SessionContext& ctx, const PreparedSpec& ps,
     // Absorb whatever the client sent; block only when the search is
     // quiescent (waiting on more trace), never while it has work.
     const bool busy =
-        fed && session.status() == core::OnlineStatus::Searching;
+        fed && analyzer.status() == core::OnlineStatus::Searching;
     std::vector<Frame> frames = std::move(pending);
     pending.clear();
     pump_socket(c, busy || !frames.empty() ? 0 : 2, frames);
@@ -145,30 +145,30 @@ void run_online(Conn& c, const SessionContext& ctx, const PreparedSpec& ps,
       }
     }
     if (cancelled || draining(ctx)) {
-      session.abort(core::InconclusiveReason::Shutdown);
+      analyzer.abort(core::InconclusiveReason::Shutdown);
     }
     if (c.closed || c.broken) {
       // Peer is gone: conclude (so the event stream gets its verdict) and
       // tear down without writing to the dead socket.
-      session.abort(core::InconclusiveReason::Shutdown);
-      session.finalize_stream();
+      analyzer.abort(core::InconclusiveReason::Shutdown);
+      analyzer.finalize_stream();
       return;
     }
 
-    if (fed) session.pump(ctx.config->steps_per_round);
+    if (fed) analyzer.step_round(ctx.config->steps_per_round);
 
-    if (session.conclusive()) {
-      session.finalize_stream();
-      const core::OnlineStatus st = session.status();
+    if (analyzer.conclusive()) {
+      analyzer.finalize_stream();
+      const core::OnlineStatus st = analyzer.status();
       send_final(c, core::to_string(st),
                  st == core::OnlineStatus::Inconclusive
-                     ? core::to_string(session.stats().reason)
+                     ? core::to_string(analyzer.stats().reason)
                      : std::string_view{},
-                 session.stats());
+                 analyzer.stats());
       return;
     }
     core::OnlineStatus now;
-    if (session.take_status_change(now) &&
+    if (analyzer.take_status_change(now) &&
         (now == core::OnlineStatus::ValidSoFar ||
          now == core::OnlineStatus::LikelyInvalid)) {
       Frame v;

@@ -1,74 +1,40 @@
 #include "trace/dynamic_source.hpp"
 
-#include "support/text.hpp"
-
 namespace tango::tr {
 
-void MemoryFeed::push_line(std::string_view line) {
-  ++line_no_;
-  std::string_view trimmed = trim(line);
-  if (trimmed.empty() || trimmed.front() == '#') return;
-  if (iequals(trimmed, "eof")) {
-    push_eof();
-    return;
-  }
-  pending_.push_back(parse_event_line(spec_, trimmed, line_no_));
-}
-
 bool MemoryFeed::poll(Trace& trace) {
-  bool delivered = false;
+  bool delivered = !pending_.empty();
   while (!pending_.empty()) {
     trace.append(std::move(pending_.front()));
     pending_.pop_front();
-    delivered = true;
   }
-  if (eof_ && !eof_delivered_) {
+  delivered |= reader_.read(lines_, trace);
+  lines_.clear();
+  if (eof_ && !trace.eof()) {
     trace.mark_eof();
-    eof_delivered_ = true;
     delivered = true;
   }
   return delivered;
 }
 
 bool ChunkSource::poll(Trace& trace) {
-  if (eof_delivered_) return false;
-  bool delivered = false;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < buffer_.size(); ++i) {
-    if (buffer_[i] != '\n') continue;
-    std::string_view line =
-        trim(std::string_view(buffer_).substr(start, i - start));
-    start = i + 1;
-    ++line_no_;
-    if (line.empty() || line.front() == '#') continue;
-    if (iequals(line, "eof")) {
-      eof_ = true;
-      continue;
-    }
-    trace.append(parse_event_line(spec_, line, line_no_));
-    delivered = true;
-  }
-  buffer_.erase(0, start);  // keep the incomplete tail for the next chunk
+  bool delivered = reader_.read(buffer_, trace);
+  buffer_.clear();
   if (eof_) {
-    // An eof frame can race a final unterminated line; flush it first.
-    std::string_view tail = trim(buffer_);
-    if (!tail.empty() && tail.front() != '#' && !iequals(tail, "eof")) {
-      trace.append(parse_event_line(spec_, tail, ++line_no_));
+    // The eof frame ends the text: a final unterminated line counts.
+    delivered |= reader_.finish(trace);
+    if (!trace.eof()) {
+      trace.mark_eof();
       delivered = true;
     }
-    buffer_.clear();
-    trace.mark_eof();
-    eof_delivered_ = true;
-    delivered = true;
   }
   return delivered;
 }
 
 FileFollower::FileFollower(const est::Spec& spec, std::string path)
-    : spec_(spec), path_(std::move(path)) {}
+    : reader_(spec), path_(std::move(path)) {}
 
 bool FileFollower::poll(Trace& trace) {
-  if (eof_seen_) return false;
   std::ifstream in(path_, std::ios::binary);
   if (!in) return false;
   in.seekg(0, std::ios::end);
@@ -78,27 +44,7 @@ bool FileFollower::poll(Trace& trace) {
   std::string chunk(static_cast<std::size_t>(size - offset_), '\0');
   in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
   offset_ = size;
-
-  bool delivered = false;
-  std::string data = carry_ + chunk;
-  carry_.clear();
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (data[i] != '\n') continue;
-    std::string_view line = trim(std::string_view(data).substr(start, i - start));
-    start = i + 1;
-    ++line_no_;
-    if (line.empty() || line.front() == '#') continue;
-    if (iequals(line, "eof")) {
-      trace.mark_eof();
-      eof_seen_ = true;
-      return true;
-    }
-    trace.append(parse_event_line(spec_, line, line_no_));
-    delivered = true;
-  }
-  carry_ = data.substr(start);  // keep the incomplete tail for next poll
-  return delivered;
+  return reader_.read(chunk, trace);
 }
 
 }  // namespace tango::tr

@@ -28,52 +28,53 @@ class TraceSource {
 /// lines) and the analyzer picks them up at its next poll.
 class MemoryFeed final : public TraceSource {
  public:
-  explicit MemoryFeed(const est::Spec& spec) : spec_(spec) {}
+  explicit MemoryFeed(const est::Spec& spec) : reader_(spec) {}
 
   void push(TraceEvent e) { pending_.push_back(std::move(e)); }
-  /// Parses and queues one `in ip.msg(...)` line.
-  void push_line(std::string_view line);
+  /// Queues one trace-text line, read at the next poll like a file's.
+  void push_line(std::string_view line) {
+    lines_.append(line);
+    lines_ += '\n';
+  }
   void push_eof() { eof_ = true; }
 
   bool poll(Trace& trace) override;
 
  private:
-  const est::Spec& spec_;
+  TraceReader reader_;
   std::deque<TraceEvent> pending_;
-  std::uint32_t line_no_ = 0;
+  std::string lines_;  // pushed lines not yet read
   bool eof_ = false;
-  bool eof_delivered_ = false;
 };
 
 /// Transport-fed source for the analysis server (docs/SERVER.md): a
 /// network session pushes raw chunk text exactly as it arrived on the wire
 /// — chunks may split an event line anywhere — and the analyzer polls the
 /// complete lines like a growing file. The eof marker comes either as an
-/// `eof` protocol frame (push_eof) or as an `eof` line inside a chunk;
-/// either way the next poll makes every partially generated node fully
-/// generated (§3.1.2). Single-threaded by design: the session worker that
-/// pushes chunks is the thread that runs the analyzer.
+/// `eof` protocol frame (push_eof, which also ends the text) or as an
+/// `eof` line inside a chunk; either way the next poll makes every
+/// partially generated node fully generated (§3.1.2). Single-threaded by
+/// design: the session worker that pushes chunks is the thread that runs
+/// the analyzer.
 class ChunkSource final : public TraceSource {
  public:
-  explicit ChunkSource(const est::Spec& spec) : spec_(spec) {}
+  explicit ChunkSource(const est::Spec& spec) : reader_(spec) {}
 
   /// Appends raw trace text (need not end on a line boundary).
   void push_chunk(std::string_view text) { buffer_.append(text); }
   void push_eof() { eof_ = true; }
-  [[nodiscard]] bool eof_pushed() const { return eof_; }
 
   bool poll(Trace& trace) override;
 
  private:
-  const est::Spec& spec_;
-  std::string buffer_;  // undelivered text; may end mid-line
-  std::uint32_t line_no_ = 0;
+  TraceReader reader_;
+  std::string buffer_;  // pushed text not yet read
   bool eof_ = false;
-  bool eof_delivered_ = false;
 };
 
-/// Follows a growing trace file on disk: each poll reads any new complete
-/// lines appended since the previous poll.
+/// Follows a growing trace file on disk: each poll reads the text appended
+/// since the previous poll. A line still being written waits for its
+/// newline; an `eof` line ends the trace.
 class FileFollower final : public TraceSource {
  public:
   FileFollower(const est::Spec& spec, std::string path);
@@ -81,12 +82,9 @@ class FileFollower final : public TraceSource {
   bool poll(Trace& trace) override;
 
  private:
-  const est::Spec& spec_;
+  TraceReader reader_;
   std::string path_;
   std::streamoff offset_ = 0;
-  std::string carry_;  // incomplete last line from the previous poll
-  std::uint32_t line_no_ = 0;
-  bool eof_seen_ = false;
 };
 
 }  // namespace tango::tr

@@ -214,26 +214,50 @@ TraceEvent parse_event_line(const est::Spec& spec, std::string_view line,
   return e;
 }
 
+void TraceReader::read_line(std::string_view raw, Trace& trace) {
+  ++line_no_;
+  const std::string_view line = trim(raw);
+  if (line.empty() || line.front() == '#') return;
+  if (iequals(line, "eof")) {
+    trace.mark_eof();
+    return;
+  }
+  if (trace.eof()) {
+    throw CompileError(SourceLoc{line_no_, 1},
+                       "trace: events after the eof marker");
+  }
+  trace.append(parse_event_line(spec_, line, line_no_));
+}
+
+bool TraceReader::read(std::string_view text, Trace& trace) {
+  const std::size_t events = trace.events().size();
+  const bool eof = trace.eof();
+  for (std::size_t nl; (nl = text.find('\n')) != std::string_view::npos;
+       text.remove_prefix(nl + 1)) {
+    if (tail_.empty()) {
+      read_line(text.substr(0, nl), trace);
+    } else {
+      tail_.append(text.substr(0, nl));
+      read_line(tail_, trace);
+      tail_.clear();
+    }
+  }
+  tail_.append(text);
+  if (iequals(trim(tail_), "eof")) trace.mark_eof();
+  return trace.events().size() != events || trace.eof() != eof;
+}
+
+bool TraceReader::finish(Trace& trace) {
+  return !tail_.empty() && read("\n", trace);
+}
+
 Trace parse_trace(const est::Spec& spec, std::string_view text,
                   bool assume_eof) {
   Trace trace(static_cast<int>(spec.ips.size()));
-  std::uint32_t line_no = 0;
-  bool saw_eof = false;
-  for (std::string_view raw : split(text, '\n')) {
-    ++line_no;
-    std::string_view line = trim(raw);
-    if (line.empty() || line.front() == '#') continue;
-    if (iequals(line, "eof")) {
-      saw_eof = true;
-      continue;
-    }
-    if (saw_eof) {
-      throw CompileError(SourceLoc{line_no, 1},
-                         "trace: events after the eof marker");
-    }
-    trace.append(parse_event_line(spec, line, line_no));
-  }
-  if (saw_eof || assume_eof) trace.mark_eof();
+  TraceReader reader(spec);
+  reader.read(text, trace);
+  reader.finish(trace);
+  if (assume_eof) trace.mark_eof();
   return trace;
 }
 

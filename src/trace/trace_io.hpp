@@ -34,6 +34,33 @@ namespace tango::tr {
                                           std::string_view line,
                                           std::uint32_t line_no);
 
+/// The trace-text line rules, in the one reader every trace surface uses:
+/// parse_trace, the server's ChunkSource, FileFollower (`tango online`) and
+/// MemoryFeed. Text arrives in pieces that may split a line anywhere; lines
+/// are numbered from 1 over the whole text and trimmed; blank lines and
+/// `#` comments are skipped; an `eof` line (any case) marks the trace eof,
+/// after which only blank, comment and `eof` lines may follow — an event
+/// there is a CompileError. An unterminated last line is read once the
+/// input is known to be complete (finish); an unterminated `eof` marks the
+/// trace at once, since nothing may follow it anyway.
+class TraceReader {
+ public:
+  explicit TraceReader(const est::Spec& spec) : spec_(spec) {}
+
+  /// Reads every line `text` completes into `trace`; keeps the rest for
+  /// the next call. Returns true when events or the eof mark arrived.
+  bool read(std::string_view text, Trace& trace);
+  /// End of input: reads the kept unterminated line, if any.
+  bool finish(Trace& trace);
+
+ private:
+  void read_line(std::string_view line, Trace& trace);
+
+  const est::Spec& spec_;
+  std::string tail_;  // unterminated text after the last newline
+  std::uint32_t line_no_ = 0;
+};
+
 /// Parses a complete trace text. The trace is marked eof when the text
 /// contains an `eof` line or `assume_eof` is set (static mode).
 [[nodiscard]] Trace parse_trace(const est::Spec& spec, std::string_view text,

@@ -1,8 +1,8 @@
-// core::AnalysisSession (src/core/session.hpp): the re-entrant wrapper the
-// server mounts on a socket-fed ChunkSource — bounded pumps, interim
+// An on-line analysis session: core::OnlineAnalyzer driven the way the
+// server drives it over a socket-fed ChunkSource — bounded pumps, interim
 // assessment *edges* (reported once per change, not once per poll), and
 // the cooperative abort that concludes Inconclusive reason "shutdown".
-#include "core/session.hpp"
+#include "core/mdfs.hpp"
 
 #include <gtest/gtest.h>
 
@@ -38,10 +38,10 @@ OnlineConfig io_config() {
 TEST(AnalysisSession, PumpsAGrownTraceToItsVerdict) {
   const est::Spec spec = abp_spec();
   tr::ChunkSource source(spec);
-  AnalysisSession session(spec, source, io_config());
+  OnlineAnalyzer session(spec, source, io_config());
 
   source.push_chunk(golden("abp_valid.tr"));  // carries its own eof line
-  while (!session.conclusive()) session.pump(64);
+  while (!session.conclusive()) session.step_round(64);
   EXPECT_EQ(session.status(), OnlineStatus::Valid);
   EXPECT_GT(session.stats().transitions_executed, 0u);
 }
@@ -49,13 +49,13 @@ TEST(AnalysisSession, PumpsAGrownTraceToItsVerdict) {
 TEST(AnalysisSession, ReportsAssessmentEdgesOncePerChange) {
   const est::Spec spec = abp_spec();
   tr::ChunkSource source(spec);
-  AnalysisSession session(spec, source, io_config());
+  OnlineAnalyzer session(spec, source, io_config());
 
   // Feed a valid prefix without eof: the session quiesces ValidSoFar.
   std::string text = golden("abp_valid.tr");
   text = text.substr(0, text.find("eof"));
   source.push_chunk(text);
-  for (int i = 0; i < 64; ++i) session.pump(4096);
+  for (int i = 0; i < 64; ++i) session.step_round(4096);
   ASSERT_EQ(session.status(), OnlineStatus::ValidSoFar);
 
   OnlineStatus edge = OnlineStatus::Searching;
@@ -66,7 +66,7 @@ TEST(AnalysisSession, ReportsAssessmentEdgesOncePerChange) {
 
   // ...but the conclusive transition at eof is.
   source.push_eof();
-  while (!session.conclusive()) session.pump(4096);
+  while (!session.conclusive()) session.step_round(4096);
   ASSERT_TRUE(session.take_status_change(edge));
   EXPECT_EQ(edge, OnlineStatus::Valid);
 }
@@ -74,11 +74,11 @@ TEST(AnalysisSession, ReportsAssessmentEdgesOncePerChange) {
 TEST(AnalysisSession, AbortConcludesInconclusiveShutdown) {
   const est::Spec spec = abp_spec();
   tr::ChunkSource source(spec);
-  AnalysisSession session(spec, source, io_config());
+  OnlineAnalyzer session(spec, source, io_config());
 
   std::string text = golden("abp_valid.tr");
   source.push_chunk(text.substr(0, text.find("eof")));
-  session.pump(4096);
+  session.step_round(4096);
   ASSERT_FALSE(session.conclusive());
 
   session.abort(InconclusiveReason::Shutdown);
@@ -87,7 +87,7 @@ TEST(AnalysisSession, AbortConcludesInconclusiveShutdown) {
   EXPECT_EQ(session.stats().reason, InconclusiveReason::Shutdown);
 
   // Conclusive statuses are sticky: pumps and aborts are no-ops now.
-  session.pump(4096);
+  session.step_round(4096);
   session.abort(InconclusiveReason::Deadline);
   EXPECT_EQ(session.stats().reason, InconclusiveReason::Shutdown);
   session.finalize_stream();  // idempotent without a sink
@@ -97,9 +97,9 @@ TEST(AnalysisSession, AbortConcludesInconclusiveShutdown) {
 TEST(AnalysisSession, AbortNeverDowngradesAConclusiveVerdict) {
   const est::Spec spec = abp_spec();
   tr::ChunkSource source(spec);
-  AnalysisSession session(spec, source, io_config());
+  OnlineAnalyzer session(spec, source, io_config());
   source.push_chunk(golden("abp_valid.tr"));
-  while (!session.conclusive()) session.pump(4096);
+  while (!session.conclusive()) session.step_round(4096);
   ASSERT_EQ(session.status(), OnlineStatus::Valid);
   session.abort(InconclusiveReason::Shutdown);
   EXPECT_EQ(session.status(), OnlineStatus::Valid);

@@ -68,7 +68,10 @@ TEST(EventStream, FireEventRoundTrips) {
   e.synthesized = true;
   e.state_hash = 0xdeadbeefcafe1234ULL;
 
-  Event back = event_from_json(parse_json(to_jsonl(e)));
+  Event back;
+  std::vector<ReadError> errors;
+  ASSERT_TRUE(decode_event(parse_json(to_jsonl(e)), 1, back, errors));
+  EXPECT_TRUE(errors.empty());
   EXPECT_EQ(back.kind, EventKind::Fire);
   EXPECT_EQ(back.id, e.id);
   EXPECT_EQ(back.parent, e.parent);
@@ -86,9 +89,9 @@ TEST(EventStream, RecordedStreamValidates) {
   ASSERT_EQ(rec.result.verdict, core::Verdict::Valid);
   ASSERT_FALSE(rec.events.empty());
 
-  std::vector<SchemaError> errors;
-  EXPECT_TRUE(validate_stream(rec.text, errors));
-  for (const SchemaError& e : errors) {
+  const std::vector<ReadError> errors = read_events(rec.text).errors;
+  EXPECT_TRUE(errors.empty());
+  for (const ReadError& e : errors) {
     ADD_FAILURE() << "line " << e.line << ": " << e.message;
   }
 
@@ -115,20 +118,16 @@ TEST(EventStream, ValidatorRejectsCorruption) {
     return text;
   };
 
-  std::vector<SchemaError> errors;
-
   // Decapitated stream: first event must be the run header.
   std::vector<std::string> headless(lines.begin() + 1, lines.end());
-  EXPECT_FALSE(validate_stream(joined(headless), errors));
+  EXPECT_FALSE(read_events(joined(headless)).errors.empty());
 
   // Unknown kind.
-  errors.clear();
   std::vector<std::string> unknown = lines;
   unknown.push_back(R"({"kind":"teleport","id":999})");
-  EXPECT_FALSE(validate_stream(joined(unknown), errors));
+  EXPECT_FALSE(read_events(joined(unknown)).errors.empty());
 
   // Duplicate node id: re-append an enter/fire line verbatim.
-  errors.clear();
   std::vector<std::string> duped = lines;
   for (const std::string& l : lines) {
     if (l.find("\"fire\"") != std::string::npos) {
@@ -137,13 +136,18 @@ TEST(EventStream, ValidatorRejectsCorruption) {
     }
   }
   ASSERT_GT(duped.size(), lines.size());
-  EXPECT_FALSE(validate_stream(joined(duped), errors));
+  EXPECT_FALSE(read_events(joined(duped)).errors.empty());
+
+  // A repeated key: JSON readers disagree on which copy counts.
+  std::vector<std::string> repeated = lines;
+  repeated[0].insert(repeated[0].size() - 1, R"(,"engine":"dfs")");
+  EXPECT_FALSE(read_events(joined(repeated)).errors.empty());
 
   // Not JSON at all.
-  errors.clear();
   std::vector<std::string> garbage = lines;
   garbage.push_back("this is not json");
-  EXPECT_FALSE(validate_stream(joined(garbage), errors));
+  const std::vector<ReadError> errors = read_events(joined(garbage)).errors;
+  ASSERT_FALSE(errors.empty());
   EXPECT_EQ(errors.front().line, garbage.size());
 }
 

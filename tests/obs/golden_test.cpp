@@ -14,7 +14,7 @@
 
 #include "core/dfs.hpp"
 #include "obs/json.hpp"
-#include "obs/schema.hpp"
+#include "obs/stream.hpp"
 #include "obs/sink.hpp"
 #include "specs/builtin_specs.hpp"
 #include "trace/trace_io.hpp"
@@ -64,8 +64,8 @@ void compare_with_golden(const std::string& recorded,
       std::string(TANGO_OBS_GOLDEN_DIR) + "/" + golden_name;
 
   // The recorded stream must always be schema-clean, golden or not.
-  std::vector<SchemaError> errors;
-  ASSERT_TRUE(validate_stream(recorded, errors))
+  std::vector<ReadError> errors = read_events(recorded).errors;
+  ASSERT_TRUE(errors.empty())
       << golden_name << ": " << errors.front().line << ": "
       << errors.front().message;
 
@@ -80,8 +80,8 @@ void compare_with_golden(const std::string& recorded,
 
   // The committed file must itself satisfy the schema — a hand-edited
   // golden can not smuggle an invalid stream past the validator.
-  errors.clear();
-  EXPECT_TRUE(validate_stream(golden, errors)) << "golden violates schema";
+  EXPECT_TRUE(read_events(golden).errors.empty())
+      << "golden violates schema";
 
   const std::vector<std::string> got = nonblank_lines(recorded);
   const std::vector<std::string> want = nonblank_lines(golden);

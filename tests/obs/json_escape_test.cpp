@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
-#include "obs/schema.hpp"
+#include "obs/stream.hpp"
 #include "obs/sink.hpp"
 
 namespace tango::obs {
@@ -127,8 +127,8 @@ TEST(JsonEscape, EventWithNonUtf8SpecNameValidates) {
   e.flags = "{}";
   const std::string line = to_jsonl(e);
   EXPECT_TRUE(is_valid_utf8(line));
-  std::vector<SchemaError> errors;
-  EXPECT_TRUE(validate_stream(line + "\n", errors))
+  const std::vector<ReadError> errors = read_events(line + "\n").errors;
+  EXPECT_TRUE(errors.empty())
       << (errors.empty() ? "" : errors.front().message);
 }
 

@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 
 namespace {
@@ -188,6 +189,48 @@ TEST(CliServe, ServerBudgetCapsTheClient) {
   EXPECT_NE(r.output.find("verdict: inconclusive"), std::string::npos)
       << r.output;
   EXPECT_NE(r.output.find("transitions"), std::string::npos) << r.output;
+  EXPECT_EQ(serve.wait(/*term=*/true), 0);
+}
+
+// The trace text used to be read by four copies of the line rules:
+// `online` ignored events after `eof`, an online submit analyzed them, and
+// `online` never saw an `eof` on an unterminated last line.
+TEST(CliSubmit, TraceTextGetsOneAnswerOnEverySurface) {
+  const std::string dir = testing::TempDir();
+  const std::string after_eof = dir + "/tango_after_eof.tr";
+  std::ofstream(after_eof, std::ios::binary)
+      << "in  u.send(5)\nout m.frame(0, 5)\nout m.frame(0, 5)\n"
+         "in  m.ack(0)\nout u.confirm\neof\nout u.confirm\n";
+  const std::string unterminated = dir + "/tango_unterminated.tr";
+  std::ofstream(unterminated, std::ios::binary)
+      << "in  u.send(5)\nout m.frame(0, 5)\nin  m.ack(0)\nout u.confirm\neof";
+
+  ServeProcess serve;
+  ASSERT_NE(serve.port(), 0) << serve.banner();
+  const std::string connect = " --connect=127.0.0.1:" +
+                              std::to_string(serve.port()) +
+                              " --spec=builtin:abp";
+  for (const std::string& trace : {after_eof, unterminated}) {
+    SCOPED_TRACE(trace);
+    const RunResult analyze = run_cli("analyze builtin:abp " + trace);
+    // "verdict: <v>" or the error after "tango: ".
+    const std::string answer =
+        analyze.output.substr(0, analyze.output.find('\n') + 1)
+            .substr(analyze.exit_code == 2 ? 7 : 0);
+    // Whole texts: an on-line session ends at its `eof`, so a line sent in
+    // a later chunk may arrive after the verdict (TraceSurfaces.* feed the
+    // sources split texts directly).
+    for (const std::string& args :
+         {"online builtin:abp " + trace, "submit " + trace + connect,
+          "submit " + trace + connect + " --static"}) {
+      // `online` waits for a trace to grow until it sees its `eof`.
+      const RunResult r =
+          run_shell("timeout 30 " + std::string(TANGO_CLI_PATH) + " " + args);
+      EXPECT_EQ(r.exit_code, analyze.exit_code) << args << "\n" << r.output;
+      EXPECT_NE(r.output.find(answer), std::string::npos)
+          << args << "\n" << r.output << " vs " << answer;
+    }
+  }
   EXPECT_EQ(serve.wait(/*term=*/true), 0);
 }
 
