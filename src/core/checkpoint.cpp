@@ -33,7 +33,9 @@ void Checkpointer::log_cursor_advance(tr::Dir, int) {}
 
 std::size_t CopyCheckpointer::save(const SearchState& st) {
   if (fault_probe(FaultSite::Alloc)) throw std::bad_alloc();
-  stats_.checkpoint_bytes += copy_cost_bytes(st);
+  const std::uint64_t bytes = copy_cost_bytes(st);
+  stats_.checkpoint_bytes += bytes;
+  live_bytes_ += bytes;
   snapshots_.push_back(st);
   return snapshots_.size() - 1;
 }
@@ -43,7 +45,10 @@ void CopyCheckpointer::restore(std::size_t mark, SearchState& st) {
 }
 
 void CopyCheckpointer::forget(std::size_t mark) {
-  snapshots_.resize(mark);
+  while (snapshots_.size() > mark) {
+    live_bytes_ -= copy_cost_bytes(snapshots_.back());
+    snapshots_.pop_back();
+  }
 }
 
 // --------------------------------------------------------------- trail --
@@ -75,15 +80,24 @@ void TrailCheckpointer::restore(std::size_t mark, SearchState& st) {
 }
 
 void TrailCheckpointer::forget(std::size_t mark) {
-  // Dropping a mark keeps its undo entries: they belong to an ancestor's
-  // span and will be rewound by that ancestor's restore (or never, if the
-  // search completes first).
   marks_.resize(mark);
+  // While an older mark is live, the dropped mark's entries belong to that
+  // ancestor's span and its restore rewinds them. With none left, no
+  // restore can reach them any more: the log is committed.
+  if (marks_.empty()) {
+    trail_.clear();
+    cursor_log_.clear();
+  }
 }
 
 void TrailCheckpointer::log_cursor_advance(tr::Dir dir, int ip) {
+  if (marks_.empty()) return;  // nothing to rewind to
   cursor_log_.push_back(CursorUndo{dir, ip});
   ++cursor_logged_total_;
+}
+
+std::uint64_t TrailCheckpointer::live_bytes() const {
+  return trail_.bytes() + cursor_log_.size() * sizeof(CursorUndo);
 }
 
 std::unique_ptr<Checkpointer> make_checkpointer(CheckpointMode mode,

@@ -13,8 +13,11 @@
 //
 // Marks are LIFO: restore(m) may be called repeatedly while m is the
 // newest live mark (once per remaining sibling of a branching node), and
-// forget(m) drops it when its node is popped. MDFS does not use marks at
-// all — §3.1.1 re-generation parks whole states on PG nodes, so it calls
+// forget(m) drops it once no restore can use it — the DFS forgets a
+// node's mark when it takes the node's last alternative. While no mark is
+// live nothing can be rewound, so the trail mode logs nothing: trail() is
+// null and cursor advances go unrecorded. MDFS does not use marks at all —
+// §3.1.1 re-generation parks whole states on PG nodes, so it calls
 // snapshot(), which deep-copies in either mode.
 //
 // Both implementations count SA/RE identically (the engines own those
@@ -51,11 +54,15 @@ class Checkpointer {
   [[nodiscard]] SearchState snapshot(const SearchState& st);
 
   /// Undo log for the interpreter to push mutations onto; nullptr in copy
-  /// mode (the interpreter then skips all logging).
+  /// mode and while no mark is live (the interpreter then skips logging).
   [[nodiscard]] virtual rt::Trail* trail() { return nullptr; }
 
   /// Records a cursor advance at (dir, ip) so trail restore can undo it.
   virtual void log_cursor_advance(tr::Dir dir, int ip);
+
+  /// Bytes held now for the live marks: snapshot copies in copy mode,
+  /// undo entries in trail mode. What the DFS memory budget charges.
+  [[nodiscard]] virtual std::uint64_t live_bytes() const = 0;
 
  protected:
   explicit Checkpointer(Stats& stats) : stats_(stats) {}
@@ -73,9 +80,11 @@ class CopyCheckpointer final : public Checkpointer {
   std::size_t save(const SearchState& st) override;
   void restore(std::size_t mark, SearchState& st) override;
   void forget(std::size_t mark) override;
+  std::uint64_t live_bytes() const override { return live_bytes_; }
 
  private:
   std::vector<SearchState> snapshots_;
+  std::uint64_t live_bytes_ = 0;  // copy_cost_bytes of every snapshot
 };
 
 class TrailCheckpointer final : public Checkpointer {
@@ -85,9 +94,12 @@ class TrailCheckpointer final : public Checkpointer {
 
   std::size_t save(const SearchState& st) override;
   void restore(std::size_t mark, SearchState& st) override;
+  /// Forgetting the last live mark commits: both logs are cleared, since
+  /// nothing is left that could rewind past them.
   void forget(std::size_t mark) override;
-  rt::Trail* trail() override { return &trail_; }
+  rt::Trail* trail() override { return marks_.empty() ? nullptr : &trail_; }
   void log_cursor_advance(tr::Dir dir, int ip) override;
+  std::uint64_t live_bytes() const override;
 
  private:
   struct CursorUndo {

@@ -32,8 +32,8 @@ bool ResourceGovernor::deadline_expired() {
   return mono_now_ns() >= deadline_ns_;
 }
 
-InconclusiveReason ResourceGovernor::check(const Stats& stats) {
-  if (max_memory_ != 0 && memory_bytes(stats) > max_memory_) {
+InconclusiveReason ResourceGovernor::check(std::uint64_t memory) {
+  if (max_memory_ != 0 && memory > max_memory_) {
     return InconclusiveReason::Memory;
   }
   if (deadline_expired()) return InconclusiveReason::Deadline;
@@ -42,12 +42,13 @@ InconclusiveReason ResourceGovernor::check(const Stats& stats) {
 
 InconclusiveReason exceeded_budget(const Options& options,
                                    ResourceGovernor& governor,
-                                   const Stats& stats) {
+                                   const Stats& stats,
+                                   std::uint64_t memory) {
   if (options.max_transitions != 0 &&
       stats.transitions_executed >= options.max_transitions) {
     return InconclusiveReason::Transitions;
   }
-  return governor.armed() ? governor.check(stats) : InconclusiveReason::None;
+  return governor.armed() ? governor.check(memory) : InconclusiveReason::None;
 }
 
 }  // namespace tango::core

@@ -4,10 +4,13 @@
 // boundaries. Exceeding either turns the verdict Inconclusive with a
 // structured reason ("deadline" / "memory") instead of running away.
 //
-// The memory budget is enforced over a deterministic allocation proxy —
-// cumulative bytes charged to state preservation (checkpoint copies and
-// snapshots via Stats::checkpoint_bytes, plus trail undo entries) — not
-// process RSS. Being a pure function of the search, it trips at the same
+// The memory budget is enforced over a deterministic byte charge, not
+// process RSS. The static DFS charges what it holds at the moment of the
+// check: the undo entries or snapshots its live marks keep
+// (Checkpointer::live_bytes) plus its live stack frames and the firings
+// they still hold. That figure goes down as the search backtracks or
+// commits. MDFS charges the cumulative proxy memory_bytes() below. Either
+// way the charge is a pure function of the search, so it trips at the same
 // point on every run and per task in --deterministic mode. The deadline is
 // inherently wall-clock; the clock is sampled on the first check and every
 // kDeadlineStride-th thereafter to keep the syscall off the hot path.
@@ -32,9 +35,10 @@ class ResourceGovernor {
   /// engine's governor so every task races the same absolute deadline.
   explicit ResourceGovernor(const Options& options);
 
-  /// The first exceeded budget, or None while within both. Memory is
-  /// checked before the deadline so mixed trips report deterministically.
-  [[nodiscard]] InconclusiveReason check(const Stats& stats);
+  /// The first exceeded budget with `memory` bytes charged, or None while
+  /// within both. Memory is checked before the deadline so mixed trips
+  /// report deterministically.
+  [[nodiscard]] InconclusiveReason check(std::uint64_t memory);
 
   /// True when a deadline is armed and has passed. Samples the clock on
   /// the first call and then every kDeadlineStride calls; a fault-injected
@@ -45,9 +49,9 @@ class ResourceGovernor {
     return deadline_ns_ != 0 || max_memory_ != 0;
   }
 
-  /// The deterministic allocation proxy the memory budget is enforced
-  /// over: checkpoint/snapshot copy bytes plus trail undo entries at an
-  /// estimated kTrailEntryBytes each.
+  /// The on-line analyzer's memory charge: cumulative checkpoint/snapshot
+  /// copy bytes plus trail undo entries at an estimated kTrailEntryBytes
+  /// each.
   static constexpr std::uint64_t kTrailEntryBytes = 32;
   [[nodiscard]] static std::uint64_t memory_bytes(const Stats& stats) {
     return stats.checkpoint_bytes + kTrailEntryBytes * stats.trail_entries;
@@ -59,11 +63,13 @@ class ResourceGovernor {
   std::uint32_t until_sample_ = 0;
 };
 
-/// The budget check a search makes over its own counters at each
-/// generate/backtrack boundary: the transition budget, then the
-/// governor's memory and deadline budgets. None while within all three.
+/// The budget check a search makes at each generate/backtrack boundary:
+/// the transition budget over its own counters, then the governor's
+/// memory budget against the `memory` bytes it charges, then the
+/// deadline. None while within all three.
 [[nodiscard]] InconclusiveReason exceeded_budget(const Options& options,
                                                  ResourceGovernor& governor,
-                                                 const Stats& stats);
+                                                 const Stats& stats,
+                                                 std::uint64_t memory);
 
 }  // namespace tango::core

@@ -321,7 +321,8 @@ OnlineStatus OnlineAnalyzer::step_round(std::uint64_t steps) {
   for (std::uint64_t i = 0; i < steps; ++i) {
     if (concluded_) return final_status_;
     const InconclusiveReason r =
-        exceeded_budget(config_.options, governor_, stats_);
+        exceeded_budget(config_.options, governor_, stats_,
+                        ResourceGovernor::memory_bytes(stats_));
     if (r != InconclusiveReason::None) {
       conclude(OnlineStatus::Inconclusive, 0, r);
       return final_status_;

@@ -119,8 +119,8 @@ constexpr OptionRow kRows[] = {
                  "wall-clock budget, per item in --batch (reason "
                  "\"deadline\")"),
     TANGO_OPTION(max_memory, "--max-memory", "<bytes>", K::Integer, kAll,
-                 "checkpoint/trail allocation budget, a deterministic proxy "
-                 "for RSS (reason \"memory\", docs/ROBUSTNESS.md)"),
+                 "budget on the bytes held for backtracking, a deterministic "
+                 "proxy for RSS (reason \"memory\", docs/ROBUSTNESS.md)"),
     TANGO_OPTION(item_retries, "--item-retries", "<n>", K::Integer, kCli,
                  "--batch: retry an item up to n times after a transient "
                  "runtime fault"),

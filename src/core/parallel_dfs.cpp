@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <deque>
 #include <exception>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -37,16 +38,23 @@ int resolve_jobs(int jobs) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+/// A path from a search root: the start state, then the transitions fired
+/// from it, as ids. Names are resolved once, for the reported solution.
+struct PathIds {
+  int start_state = -1;
+  std::vector<int> transitions;
+};
+
 /// A search root, or a continuation: the untaken alternatives of one
 /// branching node, materialized so any worker can resume them.
 /// `node_depth` is the global stack depth of the node (the publisher's
-/// stack size with the node on top), `path` the edge labels leading into
-/// the node.
+/// stack size with the node on top), `path` the edges leading into the
+/// node.
 struct Task {
   SearchState state;
   /// The node's untaken firings; a root has none yet and generates them.
   std::optional<std::vector<Firing>> firings;
-  std::vector<std::string> path;
+  PathIds path;
   int node_depth = 1;
   std::vector<std::uint32_t> lineage;
   /// Event id of the enter/fire that produced `state` — the task's fires
@@ -64,17 +72,34 @@ struct Outcome {
   Stats stats;
   std::string note;
   bool found = false;
-  std::vector<std::string> solution;
+  PathIds solution;
   std::uint64_t witness = 0;  // enter/fire event id of the completing state
 };
 
+constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+
+/// One node on the DFS stack, holding only what backtracking can still
+/// use: the firing list and the checkpoint live while an alternative is
+/// untaken, and are dropped when the last one is picked.
 struct NodeFrame {
-  GenResult gen;
-  std::size_t next = 0;
-  std::optional<std::size_t> mark;  // checkpoint; present iff node branches
-  std::string chosen;               // name of the firing taken to descend
-  std::uint64_t origin = 0;         // enter/fire event that made this state
+  std::vector<Firing> firings;  // empty once the last firing is taken
+  std::uint64_t origin = 0;     // enter/fire event that made this state
+  std::uint32_t mark = kNone;   // checkpoint while a restore may use it
+  /// If the node branches: how many branching nodes lie below it on the
+  /// stack — the `count` of its checkpoint events (docs/EVENTS.md).
+  std::uint32_t branch = kNone;
+  std::uint32_t next = 0;       // next firing to pick
+  int chosen = -1;              // transition taken to descend; -1 none
 };
+
+/// Bytes a firing list holds: the firings and their when-parameters.
+std::uint64_t firing_bytes(const std::vector<Firing>& firings) {
+  std::uint64_t bytes = firings.size() * sizeof(Firing);
+  for (const Firing& f : firings) {
+    bytes += f.binding.size() * sizeof(rt::Value);
+  }
+  return bytes;
+}
 
 /// Keeps the most diagnostic veto: a concrete parameter mismatch beats
 /// ordering complaints from unrelated failed interleavings.
@@ -153,8 +178,7 @@ class SearchEngine {
             sink_, static_cast<int>(ii), start, first_root && init.executed,
             true, done, sink_ != nullptr ? state_hash(t.state, options_) : 0);
         first_root = false;
-        t.path = {"initialize to " +
-                  spec_.states[static_cast<std::size_t>(start)]};
+        t.path.start_state = start;
         t.lineage = {root_seq++};
         if (done) {
           first.found = true;
@@ -190,7 +214,7 @@ class SearchEngine {
     emit_evict(-1, run_evictions);
     if (winner != nullptr) {
       result.verdict = Verdict::Valid;
-      result.solution = winner->solution;
+      result.solution = solution_names(winner->solution);
       // A budget may have tripped in a losing task; a Valid verdict
       // carries no reason.
       result.stats.reason = InconclusiveReason::None;
@@ -217,6 +241,20 @@ class SearchEngine {
                    to_string(result.verdict), result.stats,
                    to_string(result.reason));
     }
+  }
+
+  /// The reported solution: the initialize clause, then transition names.
+  std::vector<std::string> solution_names(const PathIds& path) const {
+    std::vector<std::string> names;
+    names.reserve(path.transitions.size() + 1);
+    names.push_back(
+        "initialize to " +
+        spec_.states[static_cast<std::size_t>(path.start_state)]);
+    for (const int id : path.transitions) {
+      names.push_back(
+          spec_.body().transitions[static_cast<std::size_t>(id)].name);
+    }
+    return names;
   }
 
   /// Reports visited-table evictions: the run's table (worker -1) or one
@@ -376,30 +414,29 @@ class SearchEngine {
     wake_all();
   }
 
-  /// Cooperative budget check at the generate/backtrack boundary. Inline
-  /// and deterministic runs check `stats` — the run's cumulative counters
-  /// inline, one task's in deterministic mode, so the clip point depends
-  /// only on the task and siblings run to completion. Relaxed pool mode
-  /// pools the memory proxy across workers and turns any trip into a
-  /// shared cancellation. Returns true when the search must stop.
+  /// Cooperative budget check at the generate/backtrack boundary, with
+  /// `live` the bytes the task holds now (docs/ROBUSTNESS.md). Inline and
+  /// deterministic runs check the task alone — the whole run inline, one
+  /// task in deterministic mode, so the clip point depends only on the
+  /// task and siblings run to completion. Relaxed pool mode pools the
+  /// memory charge across workers and turns any trip into a shared
+  /// cancellation. Returns true when the search must stop.
   bool budget_exceeded(Stats& stats, ResourceGovernor& gov,
-                       std::uint64_t& mem_reported) {
+                       std::uint64_t live, std::uint64_t& mem_reported) {
     if (!relaxed_pool_) {
-      const InconclusiveReason r = exceeded_budget(options_, gov, stats);
+      const InconclusiveReason r = exceeded_budget(options_, gov, stats, live);
       if (r == InconclusiveReason::None) return false;
       out_of_budget_.store(true);
       stats.reason = r;
       return true;
     }
     if (!gov.armed()) return false;
-    const std::uint64_t mem = ResourceGovernor::memory_bytes(stats);
-    if (mem > mem_reported) {
-      mem_shared_.fetch_add(mem - mem_reported, std::memory_order_relaxed);
-      mem_reported = mem;
-    }
+    report_memory(live, mem_reported);
+    // Never negative: each task's share is its own live bytes.
+    const auto pooled = static_cast<std::uint64_t>(
+        mem_shared_.load(std::memory_order_relaxed));
     InconclusiveReason r = InconclusiveReason::None;
-    if (options_.max_memory != 0 &&
-        mem_shared_.load(std::memory_order_relaxed) >= options_.max_memory) {
+    if (options_.max_memory != 0 && pooled >= options_.max_memory) {
       r = InconclusiveReason::Memory;
     } else if (gov.deadline_expired()) {
       r = InconclusiveReason::Deadline;
@@ -408,6 +445,16 @@ class SearchEngine {
     stats.reason = r;
     trip_relaxed(r);
     return true;
+  }
+
+  /// Relaxed pool: moves this task's share of the pooled memory charge
+  /// from `mem_reported` to `live`. Live bytes fall as the task
+  /// backtracks, so the delta is signed.
+  void report_memory(std::uint64_t live, std::uint64_t& mem_reported) {
+    mem_shared_.fetch_add(static_cast<std::int64_t>(live) -
+                              static_cast<std::int64_t>(mem_reported),
+                          std::memory_order_relaxed);
+    mem_reported = live;
   }
 
   /// Depth-first exploration of one task's subtree into `out`.
@@ -439,9 +486,20 @@ class SearchEngine {
     }
     VisitedSet* visited = inline_ ? &visited_ : task_visited.get();
 
-    std::vector<std::string> path = std::move(t.path);
     std::vector<NodeFrame> stack;
+    std::uint64_t frame_bytes = 0;  // the stack and the firings it holds
+    std::uint32_t branching = 0;    // frames on the stack that branch
     std::uint32_t pub_seq = 0;
+
+    // The path into the top node: the task's own, then each frame's
+    // chosen transition.
+    const auto current_path = [&] {
+      PathIds path = t.path;
+      for (const NodeFrame& f : stack) {
+        if (f.chosen >= 0) path.transitions.push_back(f.chosen);
+      }
+      return path;
+    };
 
     // Pushes the node `cur` is in — generating its firings unless the task
     // carries them — and saves a checkpoint when it branches.
@@ -450,18 +508,22 @@ class SearchEngine {
       NodeFrame frame;
       frame.origin = origin;
       if (firings) {
-        frame.gen.firings = std::move(*firings);
+        frame.firings = std::move(*firings);
       } else {
-        frame.gen = generate(interp, trace_, ro_, cur, stats,
-                             ObsCtx{sink_, origin, wid, depth});
-        merge_note(out.note, frame.gen.fault);
+        GenResult gen = generate(interp, trace_, ro_, cur, stats,
+                                 ObsCtx{sink_, origin, wid, depth});
+        merge_note(out.note, gen.fault);
+        frame.firings = std::move(gen.firings);
       }
-      if (frame.gen.firings.size() > 1) {
-        frame.mark = ckpt->save(cur);  // save only when the node branches
+      if (frame.firings.size() > 1) {
+        // Save only when the node branches.
+        frame.mark = static_cast<std::uint32_t>(ckpt->save(cur));
+        frame.branch = branching++;
         ++stats.saves;
         emit_at_node(sink_, obs::EventKind::CheckpointSave, origin, depth,
-                     wid, *frame.mark);
+                     wid, frame.branch);
       }
+      frame_bytes += sizeof(NodeFrame) + firing_bytes(frame.firings);
       stack.push_back(std::move(frame));
     };
     push_node(t.origin, t.node_depth - 1, std::move(t.firings));
@@ -469,37 +531,40 @@ class SearchEngine {
     while (!stack.empty()) {
       if (stop_.load(std::memory_order_relaxed)) break;  // relaxed pool only
       NodeFrame& frame = stack.back();
-      if (frame.next >= frame.gen.firings.size()) {
-        if (frame.mark) ckpt->forget(*frame.mark);
-        if (!frame.chosen.empty()) path.pop_back();
+      if (frame.next >= frame.firings.size()) {
+        // Its mark, if any, went with its last firing.
+        assert(frame.mark == kNone);
+        if (frame.branch != kNone) --branching;
         emit_at_node(sink_, obs::EventKind::Backtrack, frame.origin,
                      t.node_depth + static_cast<int>(stack.size()) - 2, wid);
+        frame_bytes -= sizeof(NodeFrame);
         stack.pop_back();
         continue;
       }
-      if (budget_exceeded(stats, gov, mem_reported)) break;
+      if (budget_exceeded(stats, gov, ckpt->live_bytes() + frame_bytes,
+                          mem_reported)) {
+        break;
+      }
 
       const int node_depth = t.node_depth + static_cast<int>(stack.size()) - 1;
       const std::size_t pick = frame.next++;
       if (pick > 0) {
-        ckpt->restore(*frame.mark, cur);  // backtrack to the branching state
+        ckpt->restore(frame.mark, cur);  // backtrack to the branching state
         ++stats.restores;
         emit_at_node(sink_, obs::EventKind::CheckpointRestore, frame.origin,
-                     node_depth - 1, wid, *frame.mark);
-        if (!frame.chosen.empty()) path.pop_back();
-        frame.chosen.clear();
+                     node_depth - 1, wid, frame.branch);
+        frame.chosen = -1;
       }
 
       // cur is the pristine node state here; if untaken siblings remain
       // and the pool wants work, hand them off as one continuation.
-      if (frame.next < frame.gen.firings.size() &&
-          should_publish(node_depth)) {
+      if (frame.next < frame.firings.size() && should_publish(node_depth)) {
         Task cont;
         cont.state = ckpt->snapshot(cur);
-        cont.firings.emplace(frame.gen.firings.begin() +
-                                 static_cast<std::ptrdiff_t>(frame.next),
-                             frame.gen.firings.end());
-        cont.path = path;
+        cont.firings.emplace(
+            std::make_move_iterator(frame.firings.begin() + frame.next),
+            std::make_move_iterator(frame.firings.end()));
+        cont.path = current_path();
         cont.node_depth = node_depth;
         cont.origin = frame.origin;
         cont.lineage = out.lineage;
@@ -514,12 +579,26 @@ class SearchEngine {
             det_ ? static_cast<std::uint32_t>(kDeterministicPublishDepth -
                                               node_depth)
                  : pub_seq++);
-        frame.gen.firings.resize(frame.next);  // this task owns only `pick`
+        frame_bytes -= firing_bytes(*cont.firings);
+        frame.firings.resize(frame.next);  // this task owns only `pick`
         ++stats.tasks_published;
         publish(std::move(cont), wid);
       }
 
-      const Firing& firing = frame.gen.firings[pick];
+      // Taking the last alternative ends the node's use for its firings
+      // and its checkpoint: nothing will restore to it again. Its mark is
+      // the newest live one, since the frame is on top of the stack.
+      std::vector<Firing> last;
+      if (frame.next == frame.firings.size()) {
+        frame_bytes -= firing_bytes(frame.firings);
+        last = std::move(frame.firings);
+        frame.firings = {};
+        if (frame.mark != kNone) {
+          ckpt->forget(frame.mark);
+          frame.mark = kNone;
+        }
+      }
+      const Firing& firing = last.empty() ? frame.firings[pick] : last[pick];
       ApplyResult applied =
           apply_firing(interp, trace_, ro_, cur, firing, stats, ckpt.get());
       bump_shared_te();
@@ -556,16 +635,12 @@ class SearchEngine {
         continue;
       }
 
-      frame.chosen =
-          spec_.body()
-              .transitions[static_cast<std::size_t>(firing.transition)]
-              .name;
-      path.push_back(frame.chosen);
+      frame.chosen = firing.transition;
       stats.max_depth = std::max(stats.max_depth, node_depth);
 
       if (done) {
         out.found = true;
-        out.solution = std::move(path);
+        out.solution = current_path();
         out.witness = fire_event;
         if (relaxed_pool_) {
           stop_.store(true);  // first conclusion cancels the pool
@@ -591,22 +666,21 @@ class SearchEngine {
             e.state_hash = cur_hash;
             sink_->emit(e);
           }
-          path.pop_back();
-          frame.chosen.clear();
+          frame.chosen = -1;
           continue;
         }
       }
 
       if (options_.max_depth != 0 && node_depth >= options_.max_depth) {
         depth_clipped_.store(true);
-        path.pop_back();
-        frame.chosen.clear();
+        frame.chosen = -1;
         continue;
       }
 
       push_node(fire_event, node_depth, std::nullopt);
     }
 
+    if (relaxed_pool_) report_memory(0, mem_reported);  // the task is done
     if (task_visited != nullptr) {
       stats.evictions += task_visited->evictions();
       emit_evict(wid, task_visited->evictions());
@@ -636,7 +710,7 @@ class SearchEngine {
   std::atomic<bool> out_of_budget_{false};
   std::atomic<bool> depth_clipped_{false};
   std::atomic<std::uint64_t> te_shared_{0};
-  std::atomic<std::uint64_t> mem_shared_{0};
+  std::atomic<std::int64_t> mem_shared_{0};  // relaxed: live bytes pooled
   /// First budget reason to trip in relaxed mode (InconclusiveReason).
   std::atomic<std::uint32_t> stop_reason_{0};
   std::unique_ptr<ShardedVisitedTable> shared_visited_;
@@ -653,6 +727,8 @@ DfsResult search(const est::Spec& spec, const tr::Trace& trace,
                  const Options& options, int jobs, bool deterministic) {
   return SearchEngine(spec, trace, options, jobs, deterministic).run();
 }
+
+std::uint64_t frame_charge_bytes() { return sizeof(NodeFrame); }
 
 }  // namespace detail
 

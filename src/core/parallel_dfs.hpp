@@ -23,6 +23,7 @@
 //     solution and every counter are run-to-run identical for any --jobs.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,10 @@ namespace detail {
 [[nodiscard]] DfsResult search(const est::Spec& spec, const tr::Trace& trace,
                                const Options& options, int jobs,
                                bool deterministic);
+
+/// Bytes the memory budget charges for one search-stack frame, besides the
+/// firings it still holds (docs/ROBUSTNESS.md).
+[[nodiscard]] std::uint64_t frame_charge_bytes();
 
 }  // namespace detail
 

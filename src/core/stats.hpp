@@ -46,8 +46,9 @@ struct Stats {
   /// Candidate transitions skipped by guard-solver facts (static-prune
   /// skip set + mutual-exclusion matrix) before any guard evaluation.
   std::uint64_t static_skips = 0;
-  /// Undo entries pushed by trail-mode checkpointing (0 in copy mode).
-  /// Excluded from cross-mode differential comparisons, unlike TE..SA.
+  /// Undo entries pushed by trail-mode checkpointing (0 in copy mode;
+  /// nothing is logged while no checkpoint mark is live). Excluded from
+  /// cross-mode differential comparisons, unlike TE..SA.
   std::uint64_t trail_entries = 0;
   /// Approximate bytes deep-copied by save()/snapshot() (shallow estimate:
   /// top-level containers, not nested record/array payloads).

@@ -14,6 +14,10 @@
 // makes the allocate/release entries safe to replay against the std::map
 // heap and keeps the allocation cursor (`Heap::next_`) bit-identical to
 // what a deep-copy restore would have produced.
+//
+// A log only needs to reach back to the oldest live mark: entries older
+// than that can never be undone, so the owner clears the log when its last
+// mark goes and passes no trail at all while none is live.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +36,11 @@ class Trail {
 
   [[nodiscard]] Mark mark() const { return entries_.size(); }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  /// Bytes the live entries occupy (entry records; nested record/array
+  /// payloads of saved values not counted).
+  [[nodiscard]] std::size_t bytes() const {
+    return entries_.size() * sizeof(Entry);
+  }
   /// Monotone count of entries ever logged (undo does not decrease it);
   /// feeds the Stats trail-entry counter.
   [[nodiscard]] std::uint64_t total_logged() const { return total_logged_; }
@@ -58,6 +67,10 @@ class Trail {
   /// Reverts every mutation logged after `m`, newest first.
   void undo_to(Mark m, MachineState& state);
 
+  /// Commits the log: drops every entry without reverting it. For when
+  /// no mark is left that could rewind past them (the checkpointer's
+  /// last live mark was forgotten); until the next mark, the owner logs
+  /// nothing at all.
   void clear() {
     affinity_.bind_or_check();
     entries_.clear();

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/dfs.hpp"
 #include "estelle/spec.hpp"
 #include "fuzz/differential.hpp"
 #include "fuzz/fuzz.hpp"
@@ -124,6 +125,73 @@ TEST(CheckpointDiff, TrailModeActuallySkipsDeepCopies) {
   EXPECT_GT(copy_bytes, 0u);
   EXPECT_EQ(copy_trail_entries, 0u);
   EXPECT_GT(trail_entries, 0u);
+}
+
+// A node whose first alternative runs a long tail and fails at its end,
+// and whose last alternative runs the same tail to a valid conclusion.
+// Trail mode forgets the node's mark when it takes the last alternative,
+// so that second tail runs with no live mark and logs nothing.
+constexpr const char* kBranchThenTail = R"(
+specification tail_spec;
+channel CA(Env, Sys);
+  by Env: go; tick; stop;
+  by Sys: done(n: integer);
+module M systemprocess;
+  ip A: CA(Sys);
+end;
+body MB for M;
+var n: integer;
+state S0, SL, SE;
+initialize to S0 begin n := 0; end;
+trans
+from S0 to SL when A.go name wrong:
+begin n := 1000; end;
+from S0 to SL when A.go name right:
+begin n := 0; end;
+from SL to SL when A.tick name step:
+begin n := n + 1; end;
+from SL to SE when A.stop name finish:
+begin output A.done(n); end;
+end;
+end.
+)";
+
+TEST(CheckpointDiff, LastAlternativeIntoLongTailAgrees) {
+  constexpr int kTail = 300;
+  est::Spec spec = est::compile_spec(kBranchThenTail);
+  std::string text = "in A.go\n";
+  for (int i = 0; i < kTail; ++i) text += "in A.tick\n";
+  text += "in A.stop\nout A.done(" + std::to_string(kTail) + ")\n";
+  const tr::Trace trace = tr::parse_trace(spec, text);
+
+  for (const core::Options& preset :
+       {core::Options::none(), core::Options::io(), core::Options::full()}) {
+    core::Options options = preset;
+    options.checkpoint = core::CheckpointMode::Copy;
+    const core::DfsResult copy = core::analyze(spec, trace, options);
+    options.checkpoint = core::CheckpointMode::Trail;
+    const core::DfsResult trail = core::analyze(spec, trace, options);
+
+    ASSERT_EQ(copy.verdict, core::Verdict::Valid);
+    EXPECT_EQ(copy.verdict, trail.verdict);
+    EXPECT_EQ(copy.solution, trail.solution);
+    ASSERT_EQ(trail.solution.size(), kTail + 3u);
+    EXPECT_EQ(trail.solution[1], "right");
+    EXPECT_EQ(copy.stats.transitions_executed,
+              trail.stats.transitions_executed);
+    EXPECT_EQ(copy.stats.generates, trail.stats.generates);
+    EXPECT_EQ(copy.stats.restores, trail.stats.restores);
+    EXPECT_EQ(copy.stats.saves, trail.stats.saves);
+    EXPECT_EQ(trail.stats.restores, 1u);
+    EXPECT_EQ(trail.stats.saves, 1u);
+    // Only the failed first tail is logged (about three entries per step:
+    // variable, FSM state, cursor). The successful one, half of TE, runs
+    // after the node's last alternative with no mark live; logging it too
+    // would put the count near 3 x TE.
+    EXPECT_GT(trail.stats.trail_entries, 0u);
+    EXPECT_LT(trail.stats.trail_entries,
+              2 * trail.stats.transitions_executed);
+  }
 }
 
 TEST(CheckpointDiff, SameSeedFuzzCampaignsMatchAcrossModes) {

@@ -16,6 +16,7 @@
 #include "obs/schema.hpp"
 #include "obs/sink.hpp"
 #include "specs/builtin_specs.hpp"
+#include "../support/temp_path.hpp"
 
 namespace tango::obs {
 namespace {
@@ -220,7 +221,7 @@ TEST(EventStream, VerdictCountersMatchEngineStats) {
 TEST(EventStream, JsonlSinkRingFlushesEverything) {
   est::Spec spec = est::compile_spec(specs::ack());
   const std::string path =
-      testing::TempDir() + "/obs_ring_test_stream.jsonl";
+      testing_support::private_temp_path("obs_ring_test_stream", ".jsonl");
   core::DfsResult direct;
   std::uint64_t written = 0;
   {

@@ -16,6 +16,7 @@
 #include "support/diagnostics.hpp"
 #include "trace/dynamic_source.hpp"
 #include "trace/trace_io.hpp"
+#include "../support/temp_path.hpp"
 
 namespace tango::tr {
 namespace {
@@ -77,7 +78,8 @@ std::string expect_same_everywhere(const std::string& spec_name,
                       }),
               want);
     // `tango online`: a file that grows by each piece.
-    const std::string path = testing::TempDir() + "/tango_surfaces.tr";
+    const std::string path =
+        testing_support::private_temp_path("tango_surfaces", ".tr");
     std::ofstream(path, std::ios::binary | std::ios::trunc).flush();
     EXPECT_EQ(outcome(spec,
                       [&](Trace& t) {

@@ -7,6 +7,7 @@
 
 #include "specs/builtin_specs.hpp"
 #include "trace/dynamic_source.hpp"
+#include "../support/temp_path.hpp"
 
 namespace tango::tr {
 namespace {
@@ -159,7 +160,8 @@ TEST(MemoryFeed, DeliversPushedEventsOnPoll) {
 
 TEST(FileFollower, ReadsIncrementally) {
   est::Spec spec = make_spec();
-  const std::string path = testing::TempDir() + "/tango_follow_test.tr";
+  const std::string path =
+      testing_support::private_temp_path("tango_follow_test", ".tr");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << "in P.m\n";
