@@ -85,6 +85,7 @@ void TrailCheckpointer::forget(std::size_t mark) {
   // ancestor's span and its restore rewinds them. With none left, no
   // restore can reach them any more: the log is committed.
   if (marks_.empty()) {
+    sync_stats();
     trail_.clear();
     cursor_log_.clear();
   }

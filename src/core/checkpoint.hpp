@@ -16,9 +16,12 @@
 // forget(m) drops it once no restore can use it — the DFS forgets a
 // node's mark when it takes the node's last alternative. While no mark is
 // live nothing can be rewound, so the trail mode logs nothing: trail() is
-// null and cursor advances go unrecorded. MDFS does not use marks at all —
-// §3.1.1 re-generation parks whole states on PG nodes, so it calls
-// snapshot(), which deep-copies in either mode.
+// null and cursor advances go unrecorded. MDFS takes a mark only around a
+// node's last firing, when the node hands its own state to the child: a
+// failed firing is restored and the mark is forgotten when the firing
+// ends. Everywhere else §3.1.1 re-generation may still use the node's
+// state (PG nodes park whole states), so MDFS calls snapshot(), which
+// deep-copies in either mode.
 //
 // Both implementations count SA/RE identically (the engines own those
 // counters); they differ only in the trail_entries / checkpoint_bytes
@@ -64,11 +67,11 @@ class Checkpointer {
   /// undo entries in trail mode. What the DFS memory budget charges.
   [[nodiscard]] virtual std::uint64_t live_bytes() const = 0;
 
+  /// Shallow byte estimate of one deep copy of `st`.
+  [[nodiscard]] static std::uint64_t copy_cost_bytes(const SearchState& st);
+
  protected:
   explicit Checkpointer(Stats& stats) : stats_(stats) {}
-
-  /// Shallow byte estimate of one deep copy of `st`.
-  static std::uint64_t copy_cost_bytes(const SearchState& st);
 
   Stats& stats_;
 };

@@ -104,12 +104,11 @@ struct Options {
   /// Inconclusive with reason "deadline". In batch mode the deadline is
   /// per item: each trace's clock starts when its analysis starts.
   std::uint64_t deadline_ms = 0;
-  /// Checkpoint/heap byte budget (`--max-memory`, 0 = none) over the
-  /// deterministic allocation proxy ResourceGovernor::memory_bytes —
-  /// cumulative bytes charged to state preservation (checkpoint copies,
-  /// snapshots and trail entries), not process RSS. Exceeding it yields
-  /// Inconclusive with reason "memory". A pure function of the search, so
-  /// it trips at the same point on every run, --deterministic included.
+  /// Byte budget (`--max-memory`, 0 = none) over what the search holds for
+  /// backtracking at each check (governor.hpp, docs/ROBUSTNESS.md), not
+  /// process RSS. Exceeding it yields Inconclusive with reason "memory".
+  /// A pure function of the search, so it trips at the same point on every
+  /// run, --deterministic included.
   std::uint64_t max_memory = 0;
   /// Batch mode (`--item-retries`): re-run an item up to N extra times
   /// when its analysis dies with a transient RuntimeFault. Compile errors
