@@ -19,13 +19,13 @@ int Spec::ip_index(std::string_view name) const {
   return -1;
 }
 
-int Spec::input_id(int ip, const std::string& name) const {
+int Spec::input_id(int ip, std::string_view name) const {
   const auto& table = ips.at(static_cast<std::size_t>(ip)).inputs;
   auto it = table.find(name);
   return it == table.end() ? -1 : it->second;
 }
 
-int Spec::output_id(int ip, const std::string& name) const {
+int Spec::output_id(int ip, std::string_view name) const {
   const auto& table = ips.at(static_cast<std::size_t>(ip)).outputs;
   auto it = table.find(name);
   return it == table.end() ? -1 : it->second;

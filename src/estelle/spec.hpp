@@ -27,8 +27,8 @@ struct IpInfo {
   int channel_index = -1;
   int role_index = -1;  // role the MODULE plays at this ip (0 or 1)
   // interaction name -> global id, split by direction as seen by the module
-  std::map<std::string, int> inputs;   // peer-role messages arriving here
-  std::map<std::string, int> outputs;  // module-role messages leaving here
+  std::map<std::string, int, std::less<>> inputs;   // peer-role, arriving
+  std::map<std::string, int, std::less<>> outputs;  // module-role, leaving
 };
 
 struct ModuleVarInfo {
@@ -68,8 +68,8 @@ class Spec {
   [[nodiscard]] int ip_index(std::string_view name) const;
 
   /// Interaction id for `name` arriving at / leaving `ip`; -1 if invalid.
-  [[nodiscard]] int input_id(int ip, const std::string& name) const;
-  [[nodiscard]] int output_id(int ip, const std::string& name) const;
+  [[nodiscard]] int input_id(int ip, std::string_view name) const;
+  [[nodiscard]] int output_id(int ip, std::string_view name) const;
 
   [[nodiscard]] const InteractionInfo& interaction(int id) const {
     return interactions.at(static_cast<std::size_t>(id));
