@@ -74,6 +74,7 @@ std::string Value::to_string() const {
     case Kind::Bool:
       return scalar_ != 0 ? "true" : "false";
     case Kind::Char:
+      if (scalar_ == '\'') return "''''";  // doubled, as in a Pascal literal
       return std::string("'") + static_cast<char>(scalar_) + "'";
     case Kind::Enum:
       if (enum_type_ != nullptr && scalar_ >= 0 &&

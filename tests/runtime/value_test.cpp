@@ -18,6 +18,7 @@ TEST(Value, ScalarConstructors) {
   EXPECT_EQ(Value::make_int(-7).scalar(), -7);
   EXPECT_EQ(Value::make_bool(true).to_string(), "true");
   EXPECT_EQ(Value::make_char('q').to_string(), "'q'");
+  EXPECT_EQ(Value::make_char('\'').to_string(), "''''");
   EXPECT_EQ(Value::nil().to_string(), "nil");
   EXPECT_EQ(Value::make_pointer(3).to_string(), "^3");
 }
