@@ -1,6 +1,5 @@
 #include "estelle/lexer.hpp"
 
-#include <cctype>
 #include <limits>
 #include <unordered_map>
 
@@ -76,32 +75,10 @@ const std::unordered_map<std::string, Tok>& keyword_table() {
   return table;
 }
 
-class Cursor {
- public:
-  explicit Cursor(std::string_view src) : src_(src) {}
-
-  [[nodiscard]] bool done() const { return pos_ >= src_.size(); }
-  [[nodiscard]] char peek(std::size_t ahead = 0) const {
-    return pos_ + ahead < src_.size() ? src_[pos_ + ahead] : '\0';
-  }
-  char advance() {
-    char c = src_[pos_++];
-    if (c == '\n') {
-      ++line_;
-      col_ = 1;
-    } else {
-      ++col_;
-    }
-    return c;
-  }
-  [[nodiscard]] SourceLoc loc() const { return {line_, col_}; }
-
- private:
-  std::string_view src_;
-  std::size_t pos_ = 0;
-  std::uint32_t line_ = 1;
-  std::uint32_t col_ = 1;
-};
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+bool is_alpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+}
 
 }  // namespace
 
@@ -201,151 +178,128 @@ Tok classify_ident(std::string_view spelling) {
   return it == table.end() ? Tok::Ident : it->second;
 }
 
-std::vector<Token> lex(std::string_view source) {
-  std::vector<Token> out;
-  Cursor cur(source);
-
-  auto push = [&out](Tok kind, SourceLoc loc, std::string text = {},
-                     std::int64_t value = 0) {
-    out.push_back(Token{kind, std::move(text), value, loc});
-  };
-
-  while (!cur.done()) {
-    const SourceLoc loc = cur.loc();
-    const char c = cur.peek();
-
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      cur.advance();
+Tok Scanner::next() {
+  for (;;) {  // blanks and comments
+    const char c = at(pos_);
+    if (c == ' ' || (c >= '\t' && c <= '\r')) {
+      skip_to(pos_ + 1);
       continue;
     }
-
-    // Comments: { ... } and (* ... *).
-    if (c == '{') {
-      cur.advance();
-      while (!cur.done() && cur.peek() != '}') cur.advance();
-      if (cur.done()) throw CompileError(loc, "unterminated '{' comment");
-      cur.advance();
-      continue;
+    const bool brace = c == '{';
+    if (!brace && (c != '(' || at(pos_ + 1) != '*')) break;
+    const std::size_t len = brace ? 1 : 2;  // of the opener and the closer
+    const std::size_t close = src_.find(brace ? "}" : "*)", pos_ + len);
+    if (close == std::string_view::npos) {
+      fail(pos_,
+           brace ? "unterminated '{' comment" : "unterminated '(*' comment");
     }
-    if (c == '(' && cur.peek(1) == '*') {
-      cur.advance();
-      cur.advance();
-      for (;;) {
-        if (cur.done()) throw CompileError(loc, "unterminated '(*' comment");
-        if (cur.peek() == '*' && cur.peek(1) == ')') {
-          cur.advance();
-          cur.advance();
-          break;
-        }
-        cur.advance();
+    skip_to(close + len);
+  }
+  start_ = pos_;
+  if (pos_ == src_.size()) return kind_ = Tok::End;
+  const char c = src_[pos_++];
+  if (is_digit(c)) {
+    int_ = c - '0';
+    for (; is_digit(at(pos_)); ++pos_) {
+      const int digit = src_[pos_] - '0';
+      if (int_ > (std::numeric_limits<std::int64_t>::max() - digit) / 10) {
+        fail(start_, "integer literal overflows 64 bits");
       }
-      continue;
+      int_ = int_ * 10 + digit;
     }
-
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::string spelling;
-      while (!cur.done() &&
-             (std::isalnum(static_cast<unsigned char>(cur.peek())) ||
-              cur.peek() == '_')) {
-        spelling.push_back(cur.advance());
+    return kind_ = Tok::IntLit;
+  }
+  if (is_alpha(c)) {
+    while (is_alpha(at(pos_)) || is_digit(at(pos_))) ++pos_;
+    return kind_ = Tok::Ident;
+  }
+  if (c == '\'') {
+    for (;;) {
+      const std::size_t quote = src_.find_first_of("'\n", pos_);
+      if (quote == std::string_view::npos) {
+        fail(start_, "unterminated string literal");
       }
-      const Tok kind = classify_ident(spelling);
-      push(kind, loc, std::move(spelling));
-      continue;
-    }
-
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::int64_t value = 0;
-      std::string spelling;
-      while (!cur.done() &&
-             std::isdigit(static_cast<unsigned char>(cur.peek()))) {
-        const int digit = cur.peek() - '0';
-        if (value > (std::numeric_limits<std::int64_t>::max() - digit) / 10) {
-          throw CompileError(loc, "integer literal overflows 64 bits");
-        }
-        value = value * 10 + digit;
-        spelling.push_back(cur.advance());
-      }
-      push(Tok::IntLit, loc, std::move(spelling), value);
-      continue;
-    }
-
-    if (c == '\'') {
-      cur.advance();
-      std::string text;
-      for (;;) {
-        if (cur.done()) throw CompileError(loc, "unterminated string literal");
-        char d = cur.advance();
-        if (d == '\'') {
-          if (cur.peek() == '\'') {  // doubled quote escapes a quote
-            text.push_back('\'');
-            cur.advance();
-            continue;
-          }
-          break;
-        }
-        if (d == '\n') throw CompileError(loc, "string literal spans a line");
-        text.push_back(d);
-      }
-      push(Tok::StringLit, loc, std::move(text));
-      continue;
-    }
-
-    cur.advance();
-    switch (c) {
-      case ';': push(Tok::Semi, loc); break;
-      case ',': push(Tok::Comma, loc); break;
-      case '(': push(Tok::LParen, loc); break;
-      case ')': push(Tok::RParen, loc); break;
-      case '[': push(Tok::LBracket, loc); break;
-      case ']': push(Tok::RBracket, loc); break;
-      case '^': push(Tok::Caret, loc); break;
-      case '+': push(Tok::Plus, loc); break;
-      case '-': push(Tok::Minus, loc); break;
-      case '*': push(Tok::Star, loc); break;
-      case '/': push(Tok::Slash, loc); break;
-      case '=': push(Tok::Eq, loc); break;
-      case '.':
-        if (cur.peek() == '.') {
-          cur.advance();
-          push(Tok::DotDot, loc);
-        } else {
-          push(Tok::Dot, loc);
-        }
-        break;
-      case ':':
-        if (cur.peek() == '=') {
-          cur.advance();
-          push(Tok::Assign, loc);
-        } else {
-          push(Tok::Colon, loc);
-        }
-        break;
-      case '<':
-        if (cur.peek() == '=') {
-          cur.advance();
-          push(Tok::Leq, loc);
-        } else if (cur.peek() == '>') {
-          cur.advance();
-          push(Tok::Neq, loc);
-        } else {
-          push(Tok::Lt, loc);
-        }
-        break;
-      case '>':
-        if (cur.peek() == '=') {
-          cur.advance();
-          push(Tok::Geq, loc);
-        } else {
-          push(Tok::Gt, loc);
-        }
-        break;
-      default:
-        throw CompileError(loc, std::string("stray character '") + c + "'");
+      if (src_[quote] == '\n') fail(start_, "string literal spans a line");
+      pos_ = quote + 1;
+      if (at(pos_) != '\'') return kind_ = Tok::StringLit;
+      ++pos_;  // a doubled quote escapes a quote
     }
   }
+  // `c`, or `c` and then `second`.
+  const auto pair = [this](char second, Tok both, Tok one) {
+    if (at(pos_) != second) return one;
+    ++pos_;
+    return both;
+  };
+  switch (c) {
+    case ';': return kind_ = Tok::Semi;
+    case ',': return kind_ = Tok::Comma;
+    case '(': return kind_ = Tok::LParen;
+    case ')': return kind_ = Tok::RParen;
+    case '[': return kind_ = Tok::LBracket;
+    case ']': return kind_ = Tok::RBracket;
+    case '^': return kind_ = Tok::Caret;
+    case '+': return kind_ = Tok::Plus;
+    case '-': return kind_ = Tok::Minus;
+    case '*': return kind_ = Tok::Star;
+    case '/': return kind_ = Tok::Slash;
+    case '=': return kind_ = Tok::Eq;
+    case '.': return kind_ = pair('.', Tok::DotDot, Tok::Dot);
+    case ':': return kind_ = pair('=', Tok::Assign, Tok::Colon);
+    case '>': return kind_ = pair('=', Tok::Geq, Tok::Gt);
+    case '<':
+      if (at(pos_) == '>') return kind_ = pair('>', Tok::Neq, Tok::Lt);
+      return kind_ = pair('=', Tok::Leq, Tok::Lt);
+    default:
+      fail(start_, std::string("stray character '") + c + "'");
+  }
+}
 
-  push(Tok::End, cur.loc());
+std::string Scanner::string_value() const {
+  const std::string_view body = src_.substr(start_ + 1, pos_ - start_ - 2);
+  std::string out;
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    out += body[i];
+    if (body[i] == '\'') ++i;  // the second quote of a doubled one
+  }
+  return out;
+}
+
+void Scanner::skip_to(std::size_t end) {
+  for (; pos_ < end; ++pos_) {
+    if (src_[pos_] == '\n') {
+      ++line_;
+      line_start_ = pos_ + 1;
+    }
+  }
+}
+
+void Scanner::fail(std::size_t where, const std::string& msg) const {
+  throw CompileError(loc_at(where), std::string(context_) + msg);
+}
+
+std::vector<Token> lex(std::string_view source) {
+  std::vector<Token> out;
+  Scanner sc(source);
+  do {
+    Token t{sc.next(), {}, 0, sc.loc()};
+    switch (t.kind) {
+      case Tok::Ident:
+        t.text = sc.text();
+        t.kind = classify_ident(t.text);
+        break;
+      case Tok::IntLit:
+        t.text = sc.text();
+        t.int_value = sc.int_value();
+        break;
+      case Tok::StringLit:
+        t.text = sc.string_value();
+        break;
+      default:
+        break;
+    }
+    out.push_back(std::move(t));
+  } while (out.back().kind != Tok::End);
   return out;
 }
 

@@ -122,5 +122,38 @@ TEST(Lexer, SlashIsAToken) {
   EXPECT_EQ(toks[1].kind, Tok::Slash);
 }
 
+TEST(Scanner, PullsViewsIntoTheSource) {
+  const std::string_view src = "x {c\n} 'don''t' 42";
+  Scanner sc(src);
+  EXPECT_EQ(sc.next(), Tok::Ident);
+  EXPECT_EQ(sc.text().data(), src.data());
+  EXPECT_EQ(sc.next(), Tok::StringLit);
+  EXPECT_EQ(sc.text(), "'don''t'");
+  EXPECT_EQ(sc.string_value(), "don't");
+  EXPECT_EQ(sc.loc(), (SourceLoc{2, 3}));
+  EXPECT_EQ(sc.next(), Tok::IntLit);
+  EXPECT_EQ(sc.int_value(), 42);
+  EXPECT_EQ(sc.next(), Tok::End);
+  EXPECT_EQ(sc.next(), Tok::End);
+}
+
+TEST(Scanner, LeavesKeywordsToClassifyIdent) {
+  Scanner sc("END");
+  EXPECT_EQ(sc.next(), Tok::Ident);
+  EXPECT_EQ(classify_ident(sc.text()), Tok::KwEnd);
+}
+
+TEST(Scanner, NumbersLinesAndPrefixesDiagnostics) {
+  Scanner sc("  a 99999999999999999999", 7, "trace: ");
+  sc.next();
+  try {
+    sc.next();
+    FAIL() << "overflow not reported";
+  } catch (const CompileError& e) {
+    EXPECT_EQ(e.loc(), (SourceLoc{7, 5}));
+    EXPECT_STREQ(e.what(), "7:5: trace: integer literal overflows 64 bits");
+  }
+}
+
 }  // namespace
 }  // namespace tango::est
