@@ -108,7 +108,12 @@ void Server::worker_loop() {
 void Server::shutdown() {
   if (!started_ || joined_) return;
   draining_.store(true, std::memory_order_release);
-  stopping_.store(true, std::memory_order_release);
+  {
+    // Under mu_: a worker that found stopping_ false is already waiting
+    // on cv_ by now, so the notify below cannot slip past it.
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_.store(true, std::memory_order_release);
+  }
   cv_.notify_all();
   if (accept_thread_.joinable()) accept_thread_.join();
   cv_.notify_all();
