@@ -1,19 +1,21 @@
 // Pinned search counters for core::analyze: every stored trace under
 // traces/ × the four relative-order presets (§2.4.2) × state hashing
 // off/on (§4.2), plus the edited TP0 paper trace (§4.2's exponential
-// refutation) and a few rows clipped by each budget. Each row records the
-// verdict, reason, solution and note with TE/GE/RE/SA and the secondary
-// counters, one tab-separated line per analysis. Any change to the search
-// order, the save/restore discipline, pruning or budget placement shows up
-// as a reviewed golden diff.
+// refutation), a few rows clipped by each budget and the paper's Figure 3
+// and Figure 4 tables (§4). Each row records the verdict, reason,
+// solution and note with TE/GE/RE/SA and the secondary counters, one
+// tab-separated line per analysis. Any change to the search order, the
+// save/restore discipline, pruning or budget placement shows up as a
+// reviewed golden diff.
 //
 // The on-line MDFS (§3) has its own table: every stored trace × preset,
-// fed whole and fed one line per poll, plus a chunked LAPD session and an
-// invalid TP0 trace. Its rows record the final status, reason, witness
-// (the verdict event's parent) and TE/GE/RE/SA, fanout_sum and max_depth.
-// checkpoint_bytes and trail_entries are left out: they are the cost
-// ledger of how states are saved, not what the search does. Regenerate
-// both tables with:
+// fed whole and fed one line per poll, plus a chunked LAPD session, an
+// invalid TP0 trace, the paper's Figure 1 and 2 scenarios and the §3.1.3
+// node-reordering ablation. Its rows record the final status, reason,
+// witness (the verdict event's parent) and TE/GE/RE/SA, fanout_sum and
+// max_depth. checkpoint_bytes and trail_entries are left out: they are
+// the cost ledger of how states are saved, not what the search does.
+// Regenerate both tables with:
 //   TANGO_UPDATE_GOLDENS=1 ctest -R PinnedCounters
 #include <gtest/gtest.h>
 
@@ -80,6 +82,20 @@ std::vector<std::string> stored_traces() {
   return files;
 }
 
+/// One row per state hashing off/on (§4.2) under `preset`.
+void add_hash_rows(std::vector<std::string>& rows, const std::string& name,
+                   const est::Spec& spec, const tr::Trace& trace,
+                   const Options& preset, bool initial_state_search) {
+  for (const bool hash : {false, true}) {
+    Options options = preset;
+    options.hash_states = hash;
+    options.max_transitions = 200'000;
+    options.initial_state_search = initial_state_search;
+    rows.push_back(
+        row(name + (hash ? "/hash" : ""), analyze(spec, trace, options)));
+  }
+}
+
 /// One row per relative-order preset (§2.4.2) x state hashing off/on.
 void add_preset_rows(std::vector<std::string>& rows, const std::string& prefix,
                      const est::Spec& spec, const tr::Trace& trace,
@@ -87,14 +103,8 @@ void add_preset_rows(std::vector<std::string>& rows, const std::string& prefix,
   for (const auto& [name, preset] :
        {std::pair{"NR", Options::none()}, std::pair{"IO", Options::io()},
         std::pair{"IP", Options::ip()}, std::pair{"FULL", Options::full()}}) {
-    for (const bool hash : {false, true}) {
-      Options options = preset;
-      options.hash_states = hash;
-      options.max_transitions = 200'000;
-      options.initial_state_search = initial_state_search;
-      rows.push_back(row(prefix + "/" + name + (hash ? "/hash" : ""),
-                         analyze(spec, trace, options)));
-    }
+    add_hash_rows(rows, prefix + "/" + name, spec, trace, preset,
+                  initial_state_search);
   }
 }
 
@@ -141,6 +151,27 @@ std::vector<std::string> record_table() {
     options.hash_states = c.hash;
     rows.push_back(row(std::string("tp0_edited_n6/IO/") + c.name,
                        analyze(tp0, edited, options)));
+  }
+
+  // The paper's §4 tables. Figure 3: valid LAPD traces with DI data
+  // interactions from the user. Figure 4: the edited TP0 trace with n data
+  // interactions each way, n=3 under every preset and n=5, 7 under FULL
+  // only, as the paper ran it.
+  est::Spec lapd = est::compile_spec(specs::lapd());
+  for (const int di : {5, 25, 100}) {
+    add_preset_rows(rows, "fig3_lapd_di" + std::to_string(di), lapd,
+                    sim::lapd_trace(lapd, di), false);
+  }
+  for (const int n : {3, 5, 7}) {
+    const std::string prefix = "fig4_tp0_edited_n" + std::to_string(n);
+    const tr::Trace trace =
+        sim::mutate_last_output_param(sim::tp0_paper_trace(tp0, n));
+    if (n == 3) {
+      add_preset_rows(rows, prefix, tp0, trace, false);
+    } else {
+      add_hash_rows(rows, prefix + "/FULL", tp0, trace, Options::full(),
+                    false);
+    }
   }
   return rows;
 }
@@ -259,6 +290,54 @@ std::vector<std::string> record_online_table() {
         online_row(std::string("tp0_edited_n3/") + name + "/whole", tp0,
                    tp0_lines, 0, preset));
   }
+
+  // The paper's §3 scenarios, one line per poll: Figure 1's ack example,
+  // which deadlocks a plain DFS, and Figure 2's ip3, where the finished
+  // interaction unlocks the o output.
+  est::Spec ack = est::compile_spec(specs::ack());
+  rows.push_back(online_row(
+      "fig1_ack/NR/lines", ack,
+      {"in a.x", "in a.x", "in a.x", "in b.y", "out a.ack", "eof"}, 1,
+      Options::none()));
+  est::Spec ip3 = est::compile_spec(specs::ip3());
+  rows.push_back(online_row("fig2_ip3/NR/lines", ip3,
+                            {"in b.data", "out c.data", "in c.data",
+                             "out b.data", "in b.finished", "in a.x",
+                             "out a.o", "eof"},
+                            1, Options::none()));
+
+  // §3.1.3 dynamic node reordering on and off: ack's T1/T2 choice with N x
+  // inputs (a 2^N tree) one line per poll, then LAPD and a valid TP0 trace
+  // in 2-line chunks.
+  const auto add_reorder_rows = [&](const std::string& name,
+                                    const est::Spec& spec,
+                                    const std::vector<std::string>& lines,
+                                    std::size_t per_poll,
+                                    const Options& preset) {
+    for (const bool reorder : {true, false}) {
+      Options options = preset;
+      options.reorder_pg_nodes = reorder;
+      rows.push_back(online_row(name + (reorder ? "" : "/no-reorder"), spec,
+                                lines, per_poll, options));
+    }
+  };
+  for (const int n : {8, 12, 14}) {
+    std::vector<std::string> lines(static_cast<std::size_t>(n), "in a.x");
+    lines.insert(lines.end(), {"in b.y", "out a.ack", "eof"});
+    add_reorder_rows("ack_x" + std::to_string(n) + "/NR/lines", ack, lines, 1,
+                     Options::none());
+  }
+  for (const int di : {10, 25}) {
+    std::vector<std::string> lines =
+        split_lines(tr::to_text(lapd, sim::lapd_trace(lapd, di)));
+    lines.push_back("eof");
+    add_reorder_rows("lapd_di" + std::to_string(di) + "/IO/chunk2", lapd,
+                     lines, 2, Options::io());
+  }
+  std::vector<std::string> tp0_valid_lines =
+      split_lines(tr::to_text(tp0, sim::tp0_trace(tp0, 6, 6, false)));
+  tp0_valid_lines.push_back("eof");
+  add_reorder_rows("tp0_n6/IO/chunk2", tp0, tp0_valid_lines, 2, Options::io());
   return rows;
 }
 
