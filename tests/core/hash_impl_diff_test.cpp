@@ -4,13 +4,15 @@
 // be BIT-IDENTICAL, not merely consistent — the visited table persists
 // hashes across a whole run, obs streams record them, and DESIGN.md §4's
 // permutation-invariance contract is stated over hash values. So over
-// every golden trace under traces/, each engine × order-preset cell must
+// every golden trace under traces/ (and, under hash-dfs, §4.2's edited
+// TP0 traces for n=2..4), each engine × order-preset cell must
 // produce the same verdict, the same Figure-3 counters (TE/GE/RE/SA), the
 // same pruned_by_hash count, and — for the deterministic engines — a
 // byte-identical search-event stream, state_hash fields included.
 //
 // (Debug builds additionally assert incremental == full on every single
-// hash taken, inside core::state_hash; this test is the Release-mode net.)
+// hash taken, inside core::state_hash; this test is the Release-mode net,
+// where NDEBUG compiles that assert out.)
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -23,6 +25,8 @@
 #include "fuzz/differential.hpp"
 #include "obs/event.hpp"
 #include "obs/sink.hpp"
+#include "sim/mutate.hpp"
+#include "sim/workloads.hpp"
 #include "specs/builtin_specs.hpp"
 #include "trace/trace_io.hpp"
 
@@ -52,16 +56,21 @@ tr::Trace load_trace(const est::Spec& spec, const Golden& golden) {
   return tr::parse_trace(spec, text.str());
 }
 
+MatrixResult matrix_for(const est::Spec& spec, const tr::Trace& trace,
+                        bool initial_state_search, core::HashImpl impl,
+                        const std::vector<Engine>& engines) {
+  core::Options base = core::Options::none();
+  base.max_transitions = 200'000;
+  base.initial_state_search = initial_state_search;
+  base.hash_impl = impl;
+  return run_matrix(spec, trace, engines, base, /*chunk=*/3);
+}
+
 MatrixResult matrix_for(const Golden& golden, core::HashImpl impl,
                         const std::vector<Engine>& engines) {
   est::Spec spec = est::compile_spec(specs::builtin_spec(golden.spec));
-  tr::Trace trace = load_trace(spec, golden);
-
-  core::Options base = core::Options::none();
-  base.max_transitions = 200'000;
-  base.initial_state_search = golden.initial_state_search;
-  base.hash_impl = impl;
-  return run_matrix(spec, trace, engines, base, /*chunk=*/3);
+  return matrix_for(spec, load_trace(spec, golden),
+                    golden.initial_state_search, impl, engines);
 }
 
 void expect_identical_search(const EngineRun& full, const EngineRun& inc,
@@ -80,28 +89,47 @@ void expect_identical_search(const EngineRun& full, const EngineRun& inc,
   EXPECT_EQ(full.stats.max_depth, inc.stats.max_depth) << context;
 }
 
+/// Every engine x order-preset cell of `trace` under both impls.
+void expect_cells_agree(const std::string& name, const est::Spec& spec,
+                        const tr::Trace& trace, bool initial_state_search,
+                        const std::vector<Engine>& engines) {
+  const MatrixResult full = matrix_for(spec, trace, initial_state_search,
+                                       core::HashImpl::Full, engines);
+  const MatrixResult inc = matrix_for(spec, trace, initial_state_search,
+                                      core::HashImpl::Incremental, engines);
+  ASSERT_EQ(full.columns.size(), inc.columns.size());
+  for (std::size_t c = 0; c < full.columns.size(); ++c) {
+    ASSERT_EQ(full.columns[c].runs.size(), inc.columns[c].runs.size());
+    for (std::size_t r = 0; r < full.columns[c].runs.size(); ++r) {
+      const EngineRun& fr = full.columns[c].runs[r];
+      const EngineRun& ir = inc.columns[c].runs[r];
+      ASSERT_EQ(fr.engine, ir.engine);
+      expect_identical_search(fr, ir,
+                              name + " order=" + full.columns[c].order +
+                                  " engine=" +
+                                  std::string(to_string(fr.engine)));
+    }
+  }
+}
+
+// The goldens under every engine, plus §4.2's edited TP0 traces under
+// hash-dfs: their exponentially many interleavings reconverge, so the
+// visited table prunes, and a hash that differs between the impls shows
+// in pruned_by_hash and TE. (Without hashing the impl is never consulted,
+// and the n=4 tree runs 10M TE.)
 TEST(HashImplDiff, GoldenTracesAgreeCellByCell) {
   for (const Golden& golden : goldens()) {
-    const MatrixResult full = matrix_for(
-        golden, core::HashImpl::Full, {Engine::Dfs, Engine::HashDfs,
-                                       Engine::Mdfs});
-    const MatrixResult inc = matrix_for(
-        golden, core::HashImpl::Incremental, {Engine::Dfs, Engine::HashDfs,
-                                              Engine::Mdfs});
-    ASSERT_EQ(full.columns.size(), inc.columns.size());
-    for (std::size_t c = 0; c < full.columns.size(); ++c) {
-      ASSERT_EQ(full.columns[c].runs.size(), inc.columns[c].runs.size());
-      for (std::size_t r = 0; r < full.columns[c].runs.size(); ++r) {
-        const EngineRun& fr = full.columns[c].runs[r];
-        const EngineRun& ir = inc.columns[c].runs[r];
-        ASSERT_EQ(fr.engine, ir.engine);
-        expect_identical_search(
-            fr, ir,
-            std::string(golden.trace_file) + " order=" +
-                full.columns[c].order + " engine=" +
-                std::string(to_string(fr.engine)));
-      }
-    }
+    est::Spec spec = est::compile_spec(specs::builtin_spec(golden.spec));
+    expect_cells_agree(golden.trace_file, spec, load_trace(spec, golden),
+                       golden.initial_state_search,
+                       {Engine::Dfs, Engine::HashDfs, Engine::Mdfs});
+  }
+  est::Spec tp0 = est::compile_spec(specs::tp0());
+  for (const int n : {2, 3, 4}) {
+    expect_cells_agree(
+        "tp0_edited_n" + std::to_string(n), tp0,
+        sim::mutate_last_output_param(sim::tp0_paper_trace(tp0, n)), false,
+        {Engine::HashDfs});
   }
 }
 
