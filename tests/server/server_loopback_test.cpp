@@ -1,11 +1,12 @@
 // End-to-end loopback coverage of the analysis server (docs/SERVER.md):
 // verdict parity between served sessions and one-shot analysis for every
-// golden x order preset, in single-chunk, trickled and static modes; the
-// interim-assessment stream on a slow trickle; overload backpressure;
-// cancel; mid-chunk disconnects (clean teardown, checked by the sanitizer
-// jobs via label `server`); and per-session fault injection. The server
-// runs in-process on an ephemeral port, so tests control the registry,
-// session ids and the fault injector directly.
+// golden x order preset, in single-chunk, trickled and static modes, and
+// for 1 to 16 concurrent clients; the interim-assessment stream on a slow
+// trickle; overload backpressure; cancel; mid-chunk disconnects (clean
+// teardown, checked by the sanitizer jobs via label `server`); and
+// per-session fault injection. The server runs in-process on an
+// ephemeral port, so tests control the registry, session ids and the
+// fault injector directly.
 #include "server/server.hpp"
 
 #include <gtest/gtest.h>
@@ -280,6 +281,51 @@ TEST_F(ServerLoopback, HelloOptionsMatchAnalyzeOverTheGoldens) {
           ASSERT_TRUE(r.completed) << what << ": " << r.error;
           EXPECT_EQ(r.final_status, want.text) << what;
         }
+      }
+    }
+  }
+}
+
+// 1, 4 and 16 concurrent on-line clients against the suite's 4-worker
+// server, each cycling through the goldens in 2-line chunks: every
+// session is accepted (none answered `overloaded`) and gets its own
+// verdict, equal to analyze's.
+TEST_F(ServerLoopback, ConcurrentClientsEachGetTheirVerdict) {
+  const SpecRegistry registry = SpecRegistry::with_builtins();
+  std::vector<std::string> texts;
+  std::vector<std::string> want;
+  for (const Golden& g : kGoldens) {
+    texts.push_back(read_file(g.trace_file));
+    core::Options options = core::Options::io();
+    options.max_transitions = 200'000;
+    want.push_back(
+        analyze_outcome(registry.find(g.spec_ref)->spec, texts.back(), options)
+            .text);
+  }
+  const std::size_t goldens = std::size(kGoldens);
+  for (const std::size_t clients : {1, 4, 16}) {
+    std::vector<std::vector<SubmitResult>> results(clients);
+    std::vector<std::thread> pool;
+    for (std::size_t c = 0; c < clients; ++c) {
+      pool.emplace_back([&, c] {
+        for (std::size_t i = 0; i < goldens; ++i) {
+          const std::size_t k = (c + i) % goldens;
+          SubmitOptions o = base_options(kGoldens[k], "io");
+          o.chunk_size = 2;
+          results[c].push_back(submit_trace(texts[k], o));
+        }
+      });
+    }
+    for (std::thread& t : pool) t.join();
+    for (std::size_t c = 0; c < clients; ++c) {
+      for (std::size_t i = 0; i < goldens; ++i) {
+        const std::size_t k = (c + i) % goldens;
+        const SubmitResult& r = results[c][i];
+        const std::string what = std::to_string(clients) + " clients, " +
+                                 kGoldens[k].trace_file;
+        EXPECT_FALSE(r.overloaded) << what;
+        ASSERT_TRUE(r.completed) << what << ": " << r.error;
+        EXPECT_EQ(r.final_status, want[k]) << what;
       }
     }
   }
