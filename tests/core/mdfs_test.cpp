@@ -161,6 +161,28 @@ TEST(Mdfs, AllDoneNodeWithNothingToWaitOnWaitsForEof) {
   EXPECT_EQ(o.pump(), OnlineStatus::Valid);
 }
 
+TEST(Mdfs, SilentIpsParkEveryNodeUnlessDisabled) {
+  // §3.2.1's degenerate case: ip3's A never sees traffic and C sees only
+  // outputs, so their empty input queues turn every searched state of a
+  // B/C stream into a parked PG node. Disabling both ips prevents it.
+  std::size_t parked[2] = {};
+  for (const bool disable : {false, true}) {
+    Options options = Options::io();
+    if (disable) options.disabled_ips = {"a", "c"};
+    Online o(specs::ip3(), options);
+    for (int i = 0; i < 40; ++i) {
+      for (const char* line : {"in b.data", "out c.data"}) {
+        o.feed.push_line(line);
+        EXPECT_NE(o.pump(), OnlineStatus::Invalid) << line;
+      }
+    }
+    EXPECT_EQ(o.analyzer->status(), OnlineStatus::ValidSoFar);
+    parked[disable] = o.analyzer->pg_count();
+  }
+  EXPECT_LT(parked[true], parked[false])
+      << parked[true] << " parked with a and c disabled";
+}
+
 TEST(Mdfs, ReorderingOffStillConcludesCorrectly) {
   Options basic = Options::none();
   basic.reorder_pg_nodes = false;  // basic MDFS of §3.1.1
