@@ -753,7 +753,6 @@ int cmd_fuzz(const Cli& cli) {
   config.out_dir = cli.out_dir;
   config.events_dir = cli.events_dir;
   config.verbose = cli.verbose;
-  config.checkpoint = cli.options.checkpoint;
   config.static_prune = cli.options.static_prune;
   if (cli.options.max_transitions != 0) {
     config.max_transitions = cli.options.max_transitions;

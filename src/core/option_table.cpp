@@ -87,12 +87,7 @@ constexpr OptionRow kRows[] = {
     TANGO_OPTION(visited_max, "--visited-max", "<n>", K::Integer,
                  kCli | kHeader, "bound the --hash-states table to n "
                  "entries; overflow evicts a random hash (0 = unlimited)"),
-    TANGO_OPTION(checkpoint, "--checkpoint", "copy|trail", K::Enum,
-                 kCli | kHeader, "save/restore by deep-copying states "
-                 "(§3.2.2 oracle) or by undo-log trail marks (default)"),
-    TANGO_OPTION(hash_impl, "--hash-impl", "incremental|full", K::Enum, kCli,
-                 "state hashes combined from trail-maintained parts "
-                 "(default) or by the full walk (differential oracle)"),
+    TANGO_OPTION(checkpoint, "", "copy|trail", K::Enum, kHeader, ""),
     TANGO_OPTION(jobs, "--jobs", "<n>", K::Integer, kAll,
                  "worker threads (default 1; 0 = one per hardware thread) "
                  "for analyze's DFS and fuzz's iterations; for serve, the "

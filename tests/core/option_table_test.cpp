@@ -169,11 +169,11 @@ TEST(OptionTable, OrderPresetTouchesOnlyTheOrderChecks) {
 
 TEST(OptionTable, BadValuesAreRejectedOnEverySurface) {
   Options o;
-  EXPECT_THROW(parse_cli_option("--checkpoint=sideways", o), CompileError);
   EXPECT_THROW(parse_cli_option("--max-depth=-1", o), CompileError);
   EXPECT_THROW(parse_cli_option("--partial=yes", o), CompileError);
   EXPECT_THROW(parse_cli_option("--order", o), CompileError);
   EXPECT_FALSE(parse_cli_option("--prune-on-pgav", o));  // header only
+  EXPECT_FALSE(parse_cli_option("--checkpoint=copy", o));  // header only
   for (const char* bad :
        {R"({"hash_states":1})", R"({"max_depth":2147483648})",
         R"({"order":"IO"})", R"({"disabled_ips":"u"})"}) {
@@ -182,6 +182,9 @@ TEST(OptionTable, BadValuesAreRejectedOnEverySurface) {
         << bad;
   }
   EXPECT_THROW(read_options(obs::parse_json("[]"), kHeader, o),
+               std::runtime_error);
+  EXPECT_THROW(read_options(obs::parse_json(R"({"checkpoint":"sideways"})"),
+                            kHeader, o),
                std::runtime_error);
 }
 
