@@ -25,7 +25,7 @@
 //
 // Both implementations count SA/RE identically (the engines own those
 // counters); they differ only in the trail_entries / checkpoint_bytes
-// accounting, which is what bench_ablation_savecost compares.
+// accounting (checkpoint_diff_test holds the rest equal).
 #pragma once
 
 #include <cstddef>

@@ -87,7 +87,7 @@ struct Stats {
 
   /// One-line JSON object with the Figure 3/4 counter names
   /// ({"te":…,"ge":…,"re":…,"sa":…,…}), for `tango fuzz --stats` output
-  /// comparable with the bench/ figures. Includes cpu_seconds and the
+  /// comparable with the paper's tables. Includes cpu_seconds and the
   /// per-phase wall/RSS block.
   [[nodiscard]] std::string to_json() const;
 

@@ -1,6 +1,6 @@
 // Event sinks. The null sink is a plain null pointer: engines guard every
 // emission with `if (sink)`, so the disabled path costs one predictable
-// branch (the <2% bench_guard_prune budget in docs/OBSERVABILITY.md).
+// branch (docs/OBSERVABILITY.md).
 // Sinks must be thread-safe — the work-stealing engine emits from every
 // worker — and own the stream-wide event-id counter so ids are unique
 // across workers.

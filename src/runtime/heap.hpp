@@ -1,8 +1,8 @@
 // Dynamic memory for Estelle `new`/`dispose`. The heap is part of the TAM
 // state (paper §2.3), so save/restore must cover it: either by wholesale
-// copy of the std::map (the deep-copy checkpointing mode, whose §3.2.2 cost
-// bench_ablation_savecost measures) or by replaying per-cell undo entries
-// from the rt::Trail (the revert_* hooks below).
+// copy of the std::map (the deep-copy checkpointing mode, the §3.2.2 cost
+// model) or by replaying per-cell undo entries from the rt::Trail (the
+// revert_* hooks below).
 #pragma once
 
 #include <cstdint>
