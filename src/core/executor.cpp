@@ -15,8 +15,7 @@ TraceMatcher::TraceMatcher(const est::Spec& spec, const tr::Trace& trace,
       ro_(ro),
       st_(st),
       partial_(partial),
-      ckpt_(ckpt),
-      start_cursors_(st.cursors) {}
+      ckpt_(ckpt) {}
 
 bool TraceMatcher::on_output(int ip, int interaction_id,
                              std::vector<rt::Value> params, SourceLoc loc) {
@@ -67,41 +66,31 @@ bool TraceMatcher::on_output(int ip, int interaction_id,
 
   if (ckpt_ != nullptr) ckpt_->log_cursor_advance(tr::Dir::Out, ip);
   st_.cursors.advance(tr::Dir::Out, ip);
-  matched_.push_back(seq);
+  matched_end_ = std::max(matched_end_, seq + 1);
   return true;
 }
 
 bool TraceMatcher::finish() {
-  if (!ro_.base->check_ip_order || matched_.empty()) return true;
+  if (!ro_.base->check_ip_order || matched_end_ == 0) return true;
 
   // The outputs of this block must occupy the globally-earliest pending
   // output slots as of the start of the transition — in any order among
   // themselves (§2.4.2: outputs of one block to different ips may be
-  // permuted in the trace).
-  std::vector<std::uint32_t> expected;
-  CursorSet probe = start_cursors_;
-  for (std::size_t k = 0; k < matched_.size(); ++k) {
-    std::uint32_t best = std::numeric_limits<std::uint32_t>::max();
-    int best_ip = -1;
-    for (int ip = 0; ip < trace_.ip_count(); ++ip) {
-      if (ro_.is_disabled(ip)) continue;
-      const std::uint32_t s = probe.next_seq(trace_, ip, tr::Dir::Out);
-      if (s < best) {
-        best = s;
-        best_ip = ip;
-      }
+  // permuted in the trace). Each ip's matched outputs are a prefix of its
+  // pending list at the start (on_output advances that ip's cursor one
+  // event at a time), so the matched set is the union of per-ip prefixes.
+  // Such a set is the k globally-earliest pending outputs iff no pending
+  // output left unmatched precedes a matched one, and the earliest
+  // unmatched output of each ip is exactly its current cursor. Hence:
+  // every non-disabled ip's next pending output comes after the largest
+  // matched seq.
+  for (int ip = 0; ip < trace_.ip_count(); ++ip) {
+    if (ro_.is_disabled(ip)) continue;
+    if (st_.cursors.next_seq(trace_, ip, tr::Dir::Out) < matched_end_) {
+      failure_ = "IP relative order: the block's outputs are not the "
+                 "globally-earliest pending outputs";
+      return false;
     }
-    if (best_ip < 0) break;
-    expected.push_back(best);
-    probe.advance(tr::Dir::Out, best_ip);
-  }
-
-  std::vector<std::uint32_t> got = matched_;
-  std::sort(got.begin(), got.end());
-  if (got != expected) {
-    failure_ = "IP relative order: the block's outputs are not the "
-               "globally-earliest pending outputs";
-    return false;
   }
   return true;
 }

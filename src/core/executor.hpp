@@ -45,8 +45,8 @@ class TraceMatcher final : public rt::OutputSink {
   SearchState& st_;
   bool partial_;
   Checkpointer* ckpt_;
-  CursorSet start_cursors_;            // snapshot at transition start
-  std::vector<std::uint32_t> matched_; // trace seqs verified by this block
+  /// One past the largest trace seq this block has matched; 0 for none.
+  std::uint32_t matched_end_ = 0;
   std::string failure_;
   bool retry_later_ = false;
 };

@@ -1,5 +1,6 @@
 #include "runtime/interp.hpp"
 
+#include <type_traits>
 #include <utility>
 
 namespace tango::rt {
@@ -17,8 +18,25 @@ using est::Type;
 using est::TypeKind;
 using est::UnOp;
 
-/// Thrown when the sink vetoes an output; unwinds the whole firing.
+/// Thrown only when the sink vetoes an output inside a function called
+/// from an expression, which has no status to return through. A veto at
+/// statement level returns false from Exec::exec instead (no exception).
 struct PathAbort {};
+
+/// What Exec::place resolves to: a location to write, or storage to read.
+template <bool Write>
+using PlacePtr = std::conditional_t<Write, Value*, const Value*>;
+
+/// True if evaluating `e` may call a user routine, which can reassign any
+/// variable or dispose any cell.
+bool calls_routine(const Expr& e) {
+  if (e.kind == ExprKind::Call && e.builtin == Builtin::None) return true;
+  if (e.kind == ExprKind::Name && e.ref == NameRef::Call0) return true;
+  for (const est::ExprPtr& c : e.children) {
+    if (calls_routine(*c)) return true;
+  }
+  return false;
+}
 
 struct Frame {
   struct Slot {
@@ -60,7 +78,11 @@ class Exec {
   // -----------------------------------------------------------------
   // Statements
   // -----------------------------------------------------------------
-  void exec(const Stmt& s, Frame& f) {
+
+  /// Runs `s`. Returns false as soon as the sink vetoes an output: every
+  /// enclosing statement stops at that point and returns false too, up to
+  /// fire()/run_initializer(), so nothing after the output runs.
+  [[nodiscard]] bool exec(const Stmt& s, Frame& f) {
     if (budget_ == 0) {
       throw RuntimeFault(s.loc,
                          "statement budget exceeded: possible infinite loop "
@@ -69,42 +91,37 @@ class Exec {
     --budget_;
     switch (s.kind) {
       case StmtKind::Empty:
-        return;
+        return true;
       case StmtKind::Compound:
-        for (const est::StmtPtr& c : s.body) exec(*c, f);
-        return;
+        return exec_all(s.body, f);
       case StmtKind::Assign: {
         Value v = eval(*s.e1, f);
         Value* dst = lvalue(*s.e0, f);
         range_check(s.e0->type, v, s.loc);
         *dst = std::move(v);
-        return;
+        return true;
       }
       case StmtKind::If:
-        if (need_bool(eval(*s.e0, f), s.e0->loc)) {
-          exec(*s.s0, f);
-        } else if (s.s1) {
-          exec(*s.s1, f);
-        }
-        return;
+        if (need_bool(eval(*s.e0, f), s.e0->loc)) return exec(*s.s0, f);
+        return !s.s1 || exec(*s.s1, f);
       case StmtKind::While:
         while (need_bool(eval(*s.e0, f), s.e0->loc)) {
           if (budget_ == 0) {
             throw RuntimeFault(s.loc, "statement budget exceeded in while");
           }
           --budget_;
-          exec(*s.s0, f);
+          if (!exec(*s.s0, f)) return false;
         }
-        return;
+        return true;
       case StmtKind::Repeat:
         do {
-          for (const est::StmtPtr& c : s.body) exec(*c, f);
+          if (!exec_all(s.body, f)) return false;
           if (budget_ == 0) {
             throw RuntimeFault(s.loc, "statement budget exceeded in repeat");
           }
           --budget_;
         } while (!need_bool(eval(*s.e0, f), s.e0->loc));
-        return;
+        return true;
       case StmtKind::For: {
         const std::int64_t from = need_scalar(eval(*s.e1, f), s.e1->loc);
         const std::int64_t to = need_scalar(eval(*s.args[0], f),
@@ -113,39 +130,32 @@ class Exec {
         if (s.downto) {
           for (std::int64_t i = from; i >= to; --i) {
             *var = Value::make_int(i);
-            exec(*s.s0, f);
+            if (!exec(*s.s0, f)) return false;
           }
         } else {
           for (std::int64_t i = from; i <= to; ++i) {
             *var = Value::make_int(i);
-            exec(*s.s0, f);
+            if (!exec(*s.s0, f)) return false;
           }
         }
-        return;
+        return true;
       }
       case StmtKind::Case: {
         const std::int64_t sel = need_scalar(eval(*s.e0, f), s.e0->loc);
         for (const est::CaseArm& arm : s.arms) {
           for (std::int64_t label : arm.label_values) {
-            if (label == sel) {
-              exec(*arm.body, f);
-              return;
-            }
+            if (label == sel) return exec(*arm.body, f);
           }
         }
-        if (s.has_otherwise) {
-          for (const est::StmtPtr& c : s.otherwise) exec(*c, f);
-          return;
-        }
+        if (s.has_otherwise) return exec_all(s.otherwise, f);
         throw RuntimeFault(s.loc, "case selector matches no label");
       }
       case StmtKind::Call:
-        exec_call(s, f);
-        return;
+        return exec_call(s, f);
       case StmtKind::Output:
-        exec_output(s, f);
-        return;
+        return exec_output(s, f);
     }
+    return true;
   }
 
   // -----------------------------------------------------------------
@@ -162,39 +172,13 @@ class Exec {
       case ExprKind::NilLit:
         return Value::nil();
       case ExprKind::Name:
-        return eval_name(e, f);
-      case ExprKind::Field: {
-        Value base = eval(*e.children[0], f);
-        if (base.is_undefined()) {
-          if (mode_ == EvalMode::Partial) return Value{};
-          throw RuntimeFault(e.loc, "field access on undefined record");
-        }
-        return base.elems().at(static_cast<std::size_t>(e.field_index));
-      }
-      case ExprKind::Index: {
-        Value base = eval(*e.children[0], f);
-        const std::int64_t ix =
-            need_scalar(eval(*e.children[1], f), e.children[1]->loc);
-        const Type* at = e.children[0]->type;
-        if (ix < at->lo || ix > at->hi) {
-          throw RuntimeFault(e.loc, "array index " + std::to_string(ix) +
-                                        " out of bounds " +
-                                        std::to_string(at->lo) + ".." +
-                                        std::to_string(at->hi));
-        }
-        if (base.is_undefined()) {
-          if (mode_ == EvalMode::Partial) return Value{};
-          throw RuntimeFault(e.loc, "indexing an undefined array");
-        }
-        return base.elems().at(static_cast<std::size_t>(ix - at->lo));
-      }
+      case ExprKind::Field:
+      case ExprKind::Index:
       case ExprKind::Deref: {
-        Value p = eval(*e.children[0], f);
-        if (p.is_undefined()) {
-          if (mode_ == EvalMode::Partial) return Value{};
-          throw RuntimeFault(e.loc, "dereference of undefined pointer");
-        }
-        return *deref_const(p, e.loc);
+        // Descend in place; copy only the leaf.
+        Value tmp;
+        const Value* v = place<false>(e, f, tmp);
+        return v == &tmp ? std::move(tmp) : *v;
       }
       case ExprKind::Unary: {
         Value v = eval(*e.children[0], f);
@@ -219,70 +203,142 @@ class Exec {
   }
 
   Value* lvalue(const Expr& e, Frame& f) {
+    Value unused;
+    return place<true>(e, f, unused);
+  }
+
+ private:
+  /// The one descent for Name, Field, Index and Deref, shared by reads and
+  /// writes. Read mode resolves to the storage a value lives in (module
+  /// variable, frame slot, when-parameter or heap cell), so a read copies
+  /// only its leaf; a value that lives nowhere (a constant, a function
+  /// result) is materialised in `tmp`, and an undefined aggregate in
+  /// partial mode resolves to `undefined_`. Write mode resolves an
+  /// assignable location, logging its root for the trail first, and faults
+  /// on every undefined aggregate.
+  template <bool Write>
+  PlacePtr<Write> place(const Expr& e, Frame& f, Value& tmp) {
     switch (e.kind) {
       case ExprKind::Name:
         switch (e.ref) {
           case NameRef::ModuleVar: {
-            check_writable(e.loc, "module variable");
-            // Log the whole root slot: a field/index lvalue resolves
-            // through here first, and a slot index stays valid however the
-            // value is later reassigned (interior pointers would not).
             Value* root = &m_.vars[static_cast<std::size_t>(e.slot)];
-            if (trail_ != nullptr) {
-              trail_->log_var(e.slot, *root, m_.var_cache_entry(e.slot));
+            if constexpr (Write) {
+              check_writable(e.loc, "module variable");
+              // Log the whole root slot: a field/index lvalue resolves
+              // through here first, and a slot index stays valid however
+              // the value is later reassigned (interior pointers would
+              // not).
+              if (trail_ != nullptr) {
+                trail_->log_var(e.slot, *root, m_.var_cache_entry(e.slot));
+              }
+              m_.note_var_write(e.slot);
             }
-            m_.note_var_write(e.slot);
             return root;
           }
           case NameRef::Local:
             return &f.slot_value(e.slot);
+          case NameRef::WhenParam:
+            if constexpr (!Write) {
+              if (f.when_params == nullptr) {
+                throw RuntimeFault(e.loc, "internal: when-parameter outside "
+                                          "transition scope");
+              }
+              return &(*f.when_params)[static_cast<std::size_t>(e.slot)];
+            }
+            break;
           default:
-            throw RuntimeFault(e.loc, "'" + e.name + "' is not assignable");
+            break;
+        }
+        if constexpr (Write) {
+          throw RuntimeFault(e.loc, "'" + e.name + "' is not assignable");
+        } else {
+          tmp = eval_name(e, f);
+          return &tmp;
         }
       case ExprKind::Field: {
-        Value* base = lvalue(*e.children[0], f);
+        PlacePtr<Write> base = place<Write>(*e.children[0], f, tmp);
         if (base->is_undefined()) {
+          if constexpr (!Write) {
+            if (mode_ == EvalMode::Partial) return &undefined_;
+          }
           throw RuntimeFault(e.loc, "field access on undefined record");
         }
         return &base->elems().at(static_cast<std::size_t>(e.field_index));
       }
       case ExprKind::Index: {
-        Value* base = lvalue(*e.children[0], f);
-        const std::int64_t ix =
-            need_scalar(eval(*e.children[1], f), e.children[1]->loc);
-        const Type* at = e.children[0]->type;
+        const Expr& base_expr = *e.children[0];
+        const Expr& sub = *e.children[1];
+        // A subscript that calls a routine may reassign the array an
+        // interior pointer points into, or dispose its cell. Reads then
+        // keep copy semantics by indexing a snapshot of the base taken
+        // before the call; writes evaluate such a subscript before
+        // descending a base that is not a root variable (a root's slot
+        // outlives any reassignment).
+        const bool calls = calls_routine(sub);
+        PlacePtr<Write> base = nullptr;
+        std::int64_t ix = 0;
+        if (Write && calls && base_expr.kind != ExprKind::Name) {
+          ix = need_scalar(eval(sub, f), sub.loc);
+          base = place<Write>(base_expr, f, tmp);
+        } else {
+          base = place<Write>(base_expr, f, tmp);
+          if constexpr (!Write) {
+            if (calls) {
+              Value snapshot = *base;  // `base` may point into `tmp`
+              tmp = std::move(snapshot);
+              base = &tmp;
+            }
+          }
+          ix = need_scalar(eval(sub, f), sub.loc);
+        }
+        const Type* at = base_expr.type;
         if (ix < at->lo || ix > at->hi) {
           throw RuntimeFault(e.loc, "array index " + std::to_string(ix) +
-                                        " out of bounds");
+                                        " out of bounds " +
+                                        std::to_string(at->lo) + ".." +
+                                        std::to_string(at->hi));
         }
         if (base->is_undefined()) {
+          if constexpr (!Write) {
+            if (mode_ == EvalMode::Partial) return &undefined_;
+          }
           throw RuntimeFault(e.loc, "indexing an undefined array");
         }
         return &base->elems().at(static_cast<std::size_t>(ix - at->lo));
       }
       case ExprKind::Deref: {
-        check_writable(e.loc, "dynamic memory");
-        Value p = eval(*e.children[0], f);
+        if constexpr (Write) check_writable(e.loc, "dynamic memory");
+        const Value p = eval(*e.children[0], f);
         if (p.is_undefined()) {
+          if constexpr (!Write) {
+            if (mode_ == EvalMode::Partial) return &undefined_;
+          }
           throw RuntimeFault(e.loc, "dereference of undefined pointer");
         }
-        // Capture the cache entry before deref(): the non-const cell
-        // lookup bumps the heap epoch for the write about to happen.
-        const CompCache heap_prior = m_.heap_cache_entry();
-        Value* cell = deref(p, e.loc);
-        if (trail_ != nullptr) {
-          trail_->log_heap_write(p.address(), *cell, heap_prior);
+        if constexpr (Write) {
+          // Capture the cache entry before the lookup: the non-const cell
+          // lookup bumps the heap epoch for the write about to happen.
+          const CompCache heap_prior = m_.heap_cache_entry();
+          Value* c = cell<true>(p, e.loc);
+          if (trail_ != nullptr) {
+            trail_->log_heap_write(p.address(), *c, heap_prior);
+          }
+          return c;
+        } else {
+          return cell<false>(p, e.loc);
         }
-        return cell;
       }
       default:
-        throw RuntimeFault(e.loc, "expression is not assignable");
+        if constexpr (Write) {
+          throw RuntimeFault(e.loc, "expression is not assignable");
+        } else {
+          tmp = eval(e, f);
+          return &tmp;
+        }
     }
   }
 
-  std::uint64_t budget() const { return budget_; }
-
- private:
   Value undef_or_fault(SourceLoc loc) {
     if (mode_ == EvalMode::Partial) return Value{};
     throw RuntimeFault(loc, "use of an undefined value (strict mode)");
@@ -308,30 +364,22 @@ class Exec {
     return need_scalar(v, loc) != 0;
   }
 
-  Value* deref(const Value& p, SourceLoc loc) {
+  /// The heap cell `p` points to. A write lookup counts as a heap
+  /// mutation (it bumps the epoch); a read goes through the const lookup so
+  /// that evaluating `p^` does not dirty the incremental hash's heap
+  /// component.
+  template <bool Write>
+  PlacePtr<Write> cell(const Value& p, SourceLoc loc) {
     if (p.address() == 0) {
       throw RuntimeFault(loc, "nil pointer dereference");
     }
-    Value* cell = m_.heap.cell(p.address());
-    if (cell == nullptr) {
+    using HeapRef = std::conditional_t<Write, Heap&, const Heap&>;
+    HeapRef heap = m_.heap;
+    PlacePtr<Write> c = heap.cell(p.address());
+    if (c == nullptr) {
       throw RuntimeFault(loc, "dangling pointer (cell was disposed)");
     }
-    return cell;
-  }
-
-  /// Read-side deref: const cell lookup, so evaluating `p^` does not bump
-  /// the heap epoch (which would dirty the incremental hash's heap
-  /// component on every pointer read).
-  const Value* deref_const(const Value& p, SourceLoc loc) {
-    if (p.address() == 0) {
-      throw RuntimeFault(loc, "nil pointer dereference");
-    }
-    const Heap& heap = m_.heap;
-    const Value* cell = heap.cell(p.address());
-    if (cell == nullptr) {
-      throw RuntimeFault(loc, "dangling pointer (cell was disposed)");
-    }
-    return cell;
+    return c;
   }
 
   void check_writable(SourceLoc loc, const char* what) {
@@ -354,18 +402,10 @@ class Exec {
     }
   }
 
+  /// Value of a name that denotes no storage (place() resolves the rest):
+  /// a constant or a call of a parameterless function.
   Value eval_name(const Expr& e, Frame& f) {
     switch (e.ref) {
-      case NameRef::ModuleVar:
-        return m_.vars[static_cast<std::size_t>(e.slot)];
-      case NameRef::Local:
-        return f.slot_value(e.slot);
-      case NameRef::WhenParam:
-        if (f.when_params == nullptr) {
-          throw RuntimeFault(e.loc, "internal: when-parameter outside "
-                                    "transition scope");
-        }
-        return (*f.when_params)[static_cast<std::size_t>(e.slot)];
       case NameRef::ConstInt:
         return Value::make_int(e.int_value);
       case NameRef::ConstBool:
@@ -375,7 +415,10 @@ class Exec {
       case NameRef::EnumConst:
         return Value::make_enum(e.type, e.int_value);
       case NameRef::Call0:
-        return call_routine(routine(e.slot), {}, f, e.loc);
+        return call_function(routine(e.slot), {}, f, e.loc);
+      case NameRef::ModuleVar:
+      case NameRef::Local:
+      case NameRef::WhenParam:
       case NameRef::Unresolved:
         break;
     }
@@ -468,21 +511,22 @@ class Exec {
           throw RuntimeFault(e.loc, "internal: bad builtin in expression");
       }
     }
-    return call_routine(routine(e.routine_index), e.children, f, e.loc);
+    return call_function(routine(e.routine_index), e.children, f, e.loc);
   }
 
   const est::Routine& routine(int index) const {
     return spec_.body().routines[static_cast<std::size_t>(index)];
   }
 
-  Value call_routine(const est::Routine& r,
-                     const std::vector<est::ExprPtr>& args, Frame& caller,
-                     SourceLoc loc) {
+  /// Binds `args` into `f`, a fresh frame for `r`, and runs the body.
+  /// Returns false when an output in the body was vetoed.
+  [[nodiscard]] bool run_routine(const est::Routine& r,
+                                 const std::vector<est::ExprPtr>& args,
+                                 Frame& caller, SourceLoc loc, Frame& f) {
     if (depth_ >= limits_.max_call_depth) {
       throw RuntimeFault(loc, "call depth limit exceeded (runaway recursion "
                               "in '" + r.name + "')");
     }
-    Frame f;
     f.slots.resize(static_cast<std::size_t>(r.frame_size));
     std::size_t slot = 0;
     for (std::size_t i = 0; i < args.size(); ++i, ++slot) {
@@ -495,14 +539,31 @@ class Exec {
     }
     init_locals(f, r.locals);
     ++depth_;
-    exec(*r.body, f);
+    const bool ok = exec(*r.body, f);
     --depth_;
-    return r.is_function
-               ? f.slots[static_cast<std::size_t>(r.result_slot)].v
-               : Value{};
+    return ok;
   }
 
-  void exec_call(const Stmt& s, Frame& f) {
+  /// A function called from an expression. An expression has no status to
+  /// return, so a veto inside the body unwinds the firing with PathAbort
+  /// (sema accepts outputs in functions; no built-in spec has one).
+  Value call_function(const est::Routine& r,
+                      const std::vector<est::ExprPtr>& args, Frame& caller,
+                      SourceLoc loc) {
+    Frame f;
+    if (!run_routine(r, args, caller, loc, f)) throw PathAbort{};
+    return std::move(f.slots[static_cast<std::size_t>(r.result_slot)].v);
+  }
+
+  [[nodiscard]] bool exec_all(const std::vector<est::StmtPtr>& body,
+                              Frame& f) {
+    for (const est::StmtPtr& c : body) {
+      if (!exec(*c, f)) return false;
+    }
+    return true;
+  }
+
+  [[nodiscard]] bool exec_call(const Stmt& s, Frame& f) {
     if (s.builtin == Builtin::New) {
       check_writable(s.loc, "dynamic memory");
       Value* p = lvalue(*s.args[0], f);
@@ -511,7 +572,7 @@ class Exec {
       const std::uint32_t addr = m_.heap.allocate(default_value(pt->pointee));
       if (trail_ != nullptr) trail_->log_heap_alloc(addr, heap_prior);
       *p = Value::make_pointer(addr);
-      return;
+      return true;
     }
     if (s.builtin == Builtin::Dispose) {
       check_writable(s.loc, "dynamic memory");
@@ -539,12 +600,14 @@ class Exec {
       }
       m_.heap.release(addr);
       *p = Value{};  // Pascal leaves the pointer undefined
-      return;
+      return true;
     }
-    call_routine(routine(s.routine_index), s.args, f, s.loc);
+    Frame callee;
+    return run_routine(routine(s.routine_index), s.args, f, s.loc, callee);
   }
 
-  void exec_output(const Stmt& s, Frame& f) {
+  /// False when the sink vetoes the output.
+  [[nodiscard]] bool exec_output(const Stmt& s, Frame& f) {
     if (read_only_ || sink_ == nullptr) {
       throw RuntimeFault(s.loc,
                          "output statement not allowed in this context");
@@ -552,10 +615,8 @@ class Exec {
     std::vector<Value> params;
     params.reserve(s.args.size());
     for (const est::ExprPtr& a : s.args) params.push_back(eval(*a, f));
-    if (!sink_->on_output(s.ip_index, s.interaction_id, std::move(params),
-                          s.loc)) {
-      throw PathAbort{};
-    }
+    return sink_->on_output(s.ip_index, s.interaction_id, std::move(params),
+                            s.loc);
   }
 
   const est::Spec& spec_;
@@ -567,6 +628,8 @@ class Exec {
   Trail* trail_;
   std::uint64_t budget_;
   int depth_ = 0;
+  const Value undefined_;  // what a partial-mode read of an undefined
+                           // record, array or pointer resolves to
 };
 
 }  // namespace
@@ -581,7 +644,7 @@ bool Interp::run_initializer(MachineState& m, const est::Initializer& init,
   f.slots.resize(static_cast<std::size_t>(init.frame_size));
   exec.init_locals(f, init.locals);
   try {
-    if (init.block) exec.exec(*init.block, f);
+    if (init.block && !exec.exec(*init.block, f)) return false;
   } catch (const PathAbort&) {
     return false;
   }
@@ -599,7 +662,7 @@ bool Interp::fire(MachineState& m, const est::Transition& tr,
   f.when_params = &when_args;
   exec.init_locals(f, tr.locals);
   try {
-    exec.exec(*tr.block, f);
+    if (!exec.exec(*tr.block, f)) return false;
   } catch (const PathAbort&) {
     return false;
   }

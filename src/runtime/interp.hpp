@@ -62,9 +62,13 @@ class Interp {
                        OutputSink& sink, Trail* trail = nullptr);
 
   /// Fires a transition whose when-parameters are bound to `when_args`
-  /// (empty for spontaneous transitions). Returns false if vetoed; in that
-  /// case `m` is left partially updated and must be restored by the caller
-  /// (deep-copy restore, or Trail::undo_to when a trail was passed).
+  /// (empty for spontaneous transitions). Returns false if vetoed: the
+  /// block stops at the vetoed output, as a status returned through every
+  /// enclosing statement rather than a C++ exception (only an output in a
+  /// function called from an expression unwinds by throwing). `m` is then
+  /// left partially updated, FSM state unchanged, and must be restored by
+  /// the caller (deep-copy restore, or Trail::undo_to when a trail was
+  /// passed).
   bool fire(MachineState& m, const est::Transition& tr,
             const std::vector<Value>& when_args, OutputSink& sink,
             Trail* trail = nullptr);

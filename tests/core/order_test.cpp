@@ -129,6 +129,7 @@ body MB for M;
   initialize to z begin end;
   trans
     from z to w when A.go name t: begin output A.x; output B.x; end;
+    from w to w name u: begin output B.x; end;
 end;
 end.
 )");
@@ -136,6 +137,13 @@ end.
             Verdict::Valid);
   EXPECT_EQ(run(spec, "in a.go\nout a.x\nout b.x\n", Options::full()),
             Verdict::Valid);
+  // Only among the globally-earliest pending outputs: t's outputs would
+  // take seqs 1 and 3 while seq 2 (left for u) is still pending. The last
+  // output t matches (b.x, seq 1) precedes that gap; its first (a.x,
+  // seq 3) does not.
+  const char* gap = "in a.go\nout b.x\nout b.x\nout a.x\n";
+  EXPECT_EQ(run(spec, gap, Options::none()), Verdict::Valid);
+  EXPECT_EQ(run(spec, gap, Options::full()), Verdict::Invalid);
 }
 
 TEST(OrderChecking, SameIpSameBlockOutputsMayNotPermute) {
