@@ -9,33 +9,42 @@ namespace tango::core {
 
 TraceMatcher::TraceMatcher(const est::Spec& spec, const tr::Trace& trace,
                            const ResolvedOptions& ro, SearchState& st,
-                           bool partial, Checkpointer* ckpt)
+                           bool partial, Checkpointer* ckpt, VetoNote* note)
     : spec_(spec),
       trace_(trace),
       ro_(ro),
       st_(st),
       partial_(partial),
-      ckpt_(ckpt) {}
+      ckpt_(ckpt),
+      note_(note) {}
 
 bool TraceMatcher::on_output(int ip, int interaction_id,
-                             std::vector<rt::Value> params, SourceLoc loc) {
+                             std::span<const rt::Value> params,
+                             SourceLoc loc) {
   if (ro_.is_disabled(ip)) return true;  // §2.4.3: always considered valid
 
   const std::uint32_t seq = st_.cursors.next_seq(trace_, ip, tr::Dir::Out);
   if (seq == std::numeric_limits<std::uint32_t>::max()) {
-    failure_ = "produced an output at ip '" +
-               spec_.ips[static_cast<std::size_t>(ip)].name +
-               "' but the trace has no pending output there";
+    if (wants(false)) {
+      note_->offer("produced an output at ip '" +
+                       spec_.ips[static_cast<std::size_t>(ip)].name +
+                       "' but the trace has no pending output there",
+                   false);
+    }
     retry_later_ = !trace_.eof();  // the matching event may still arrive
     return false;
   }
   const tr::TraceEvent& ev = trace_.event(seq);
   if (ev.interaction != interaction_id) {
-    failure_ = "produced '" + spec_.interaction(interaction_id).name +
-               "' at ip '" + spec_.ips[static_cast<std::size_t>(ip)].name +
-               "' but the trace expects '" +
-               spec_.interaction(ev.interaction).name + "' (trace line " +
-               std::to_string(ev.loc.line) + ")";
+    if (wants(false)) {
+      note_->offer("produced '" + spec_.interaction(interaction_id).name +
+                       "' at ip '" +
+                       spec_.ips[static_cast<std::size_t>(ip)].name +
+                       "' but the trace expects '" +
+                       spec_.interaction(ev.interaction).name +
+                       "' (trace line " + std::to_string(ev.loc.line) + ")",
+                   false);
+    }
     return false;
   }
   for (std::size_t i = 0; i < params.size(); ++i) {
@@ -46,11 +55,14 @@ bool TraceMatcher::on_output(int ip, int interaction_id,
                                   "' is undefined (strict mode)");
     }
     if (!rt::equals(params[i], ev.params[i], partial_)) {
-      failure_ = "parameter " + std::to_string(i + 1) + " of '" +
-                 spec_.interaction(interaction_id).name + "' is " +
-                 params[i].to_string() + " but the trace has " +
-                 ev.params[i].to_string() + " (trace line " +
-                 std::to_string(ev.loc.line) + ")";
+      if (wants(true)) {
+        note_->offer("parameter " + std::to_string(i + 1) + " of '" +
+                         spec_.interaction(interaction_id).name + "' is " +
+                         params[i].to_string() + " but the trace has " +
+                         ev.params[i].to_string() + " (trace line " +
+                         std::to_string(ev.loc.line) + ")",
+                     true);
+      }
       return false;
     }
   }
@@ -59,8 +71,11 @@ bool TraceMatcher::on_output(int ip, int interaction_id,
   // input at the same ip.
   if (ro_.base->check_output_wrt_input &&
       st_.cursors.next_seq(trace_, ip, tr::Dir::In) < seq) {
-    failure_ = "output ordering: an earlier input at the same ip is still "
-               "pending";
+    if (wants(false)) {
+      note_->offer("output ordering: an earlier input at the same ip is "
+                   "still pending",
+                   false);
+    }
     return false;
   }
 
@@ -87,8 +102,11 @@ bool TraceMatcher::finish() {
   for (int ip = 0; ip < trace_.ip_count(); ++ip) {
     if (ro_.is_disabled(ip)) continue;
     if (st_.cursors.next_seq(trace_, ip, tr::Dir::Out) < matched_end_) {
-      failure_ = "IP relative order: the block's outputs are not the "
-                 "globally-earliest pending outputs";
+      if (wants(false)) {
+        note_->offer("IP relative order: the block's outputs are not the "
+                     "globally-earliest pending outputs",
+                     false);
+      }
       return false;
     }
   }
@@ -98,7 +116,7 @@ bool TraceMatcher::finish() {
 ApplyResult apply_firing(rt::Interp& interp, const tr::Trace& trace,
                          const ResolvedOptions& ro, SearchState& st,
                          const Firing& firing, Stats& stats,
-                         Checkpointer* ckpt) {
+                         Checkpointer* ckpt, VetoNote* note) {
   ++stats.transitions_executed;
   const est::Transition& tr =
       interp.spec().body().transitions[static_cast<std::size_t>(
@@ -111,20 +129,19 @@ ApplyResult apply_firing(rt::Interp& interp, const tr::Trace& trace,
     st.cursors.advance(tr::Dir::In, ev.ip);
   }
 
-  TraceMatcher matcher(interp.spec(), trace, ro, st,
-                       ro.base->partial, ckpt);
+  TraceMatcher matcher(interp.spec(), trace, ro, st, ro.base->partial, ckpt,
+                       note);
   try {
     if (!interp.fire(st.machine, tr, firing.binding, matcher,
                      ckpt != nullptr ? ckpt->trail() : nullptr)) {
-      return {false, matcher.retry_later(), matcher.failure()};
+      return {false, matcher.retry_later()};
     }
   } catch (const RuntimeFault& fault) {
-    return {false, false, fault.what()};
+    if (note != nullptr) note->offer_fault(fault.what());
+    return {false, false};
   }
-  if (!matcher.finish()) {
-    return {false, false, matcher.failure()};
-  }
-  return {true, false, {}};
+  if (!matcher.finish()) return {false, false};
+  return {true, false};
 }
 
 InitResult apply_initializer(rt::Interp& interp, const tr::Trace& trace,
@@ -137,24 +154,20 @@ InitResult apply_initializer(rt::Interp& interp, const tr::Trace& trace,
 
   try {
     if (!interp.provided_holds(out.state.machine, init)) {
-      out.note = "initialize provided clause is false";
+      out.note.offer("initialize provided clause is false", false);
       return out;
     }
     ++stats.transitions_executed;
     out.executed = true;
     TraceMatcher matcher(interp.spec(), trace, ro, out.state,
-                         ro.base->partial);
+                         ro.base->partial, nullptr, &out.note);
     if (!interp.run_initializer(out.state.machine, init, matcher)) {
-      out.note = matcher.failure();
       out.retry_later = matcher.retry_later();
       return out;
     }
-    if (!matcher.finish()) {
-      out.note = matcher.failure();
-      return out;
-    }
+    if (!matcher.finish()) return out;
   } catch (const RuntimeFault& fault) {
-    out.note = fault.what();
+    out.note.offer_fault(fault.what());
     return out;
   }
   out.ok = true;

@@ -5,33 +5,32 @@
 // same-transition permutation special case) and the §2.4.3 ip disabling.
 #pragma once
 
-#include <string>
+#include <span>
 #include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/generator.hpp"
 #include "core/search_state.hpp"
+#include "core/veto_note.hpp"
 
 namespace tango::core {
 
 /// OutputSink that verifies produced interactions against the trace.
 /// With a non-null checkpointer, every output-cursor advance is logged so
-/// a trail restore can undo it.
+/// a trail restore can undo it. With a non-null `note`, a veto offers its
+/// reason there, formatted only when the note would keep it.
 class TraceMatcher final : public rt::OutputSink {
  public:
   TraceMatcher(const est::Spec& spec, const tr::Trace& trace,
                const ResolvedOptions& ro, SearchState& st, bool partial,
-               Checkpointer* ckpt = nullptr);
+               Checkpointer* ckpt = nullptr, VetoNote* note = nullptr);
 
-  bool on_output(int ip, int interaction_id, std::vector<rt::Value> params,
-                 SourceLoc loc) override;
+  bool on_output(int ip, int interaction_id,
+                 std::span<const rt::Value> params, SourceLoc loc) override;
 
   /// IP-relative-order permutation check over the whole transition block
   /// (§2.4.2 special case). Call once after the block succeeds.
   [[nodiscard]] bool finish();
-
-  /// Human-readable reason for the last veto (verbose diagnostics).
-  [[nodiscard]] const std::string& failure() const { return failure_; }
 
   /// True when the veto was caused by an exhausted output queue while the
   /// trace can still grow — the firing may succeed after new events arrive
@@ -39,6 +38,12 @@ class TraceMatcher final : public rt::OutputSink {
   [[nodiscard]] bool retry_later() const { return retry_later_; }
 
  private:
+  /// True if the note would keep a veto of this class: only then is the
+  /// sentence formatted.
+  [[nodiscard]] bool wants(bool parameter_class) const {
+    return note_ != nullptr && note_->wants(parameter_class);
+  }
+
   const est::Spec& spec_;
   const tr::Trace& trace_;
   const ResolvedOptions& ro_;
@@ -47,27 +52,28 @@ class TraceMatcher final : public rt::OutputSink {
   Checkpointer* ckpt_;
   /// One past the largest trace seq this block has matched; 0 for none.
   std::uint32_t matched_end_ = 0;
-  std::string failure_;
+  VetoNote* note_;
   bool retry_later_ = false;
 };
 
 struct ApplyResult {
   bool ok = false;
   bool retry_later = false;  // output queue exhausted on a growing trace
-  std::string note;          // veto reason / runtime fault, when !ok
 };
 
 /// Applies `firing` to `st` (mutating it). On failure `st` is left
 /// partially updated; the caller restores it through its checkpointer (or
 /// from a saved copy). With a non-null `ckpt`, all machine mutations go
 /// through the checkpointer's trail and cursor advances are logged, so a
-/// trail restore fully reverts the firing.
+/// trail restore fully reverts the firing. With a non-null `note`, a
+/// failure offers its reason (veto or runtime fault) there.
 [[nodiscard]] ApplyResult apply_firing(rt::Interp& interp,
                                        const tr::Trace& trace,
                                        const ResolvedOptions& ro,
                                        SearchState& st, const Firing& firing,
                                        Stats& stats,
-                                       Checkpointer* ckpt = nullptr);
+                                       Checkpointer* ckpt = nullptr,
+                                       VetoNote* note = nullptr);
 
 /// Runs initializer `index` on a fresh state. Returns the resulting state;
 /// ok=false when an initializer output mismatched the trace.
@@ -80,7 +86,7 @@ struct InitResult {
   /// through this flag.
   bool executed = false;
   SearchState state;
-  std::string note;
+  VetoNote note;  // why the initializer was not applied, when !ok
 };
 [[nodiscard]] InitResult apply_initializer(rt::Interp& interp,
                                            const tr::Trace& trace,

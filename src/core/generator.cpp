@@ -42,21 +42,24 @@ bool invariants_hold(const analysis::GuardMatrix& gm, const SearchState& st) {
 
 GenResult generate(rt::Interp& interp, const tr::Trace& trace,
                    const ResolvedOptions& ro, SearchState& st, Stats& stats,
-                   const ObsCtx& obs) {
+                   const ObsCtx& obs, std::vector<Firing> storage) {
   ++stats.generates;
   GenResult out;
+  storage.clear();
+  out.firings = std::move(storage);
   const est::Spec& spec = interp.spec();
   const auto& transitions = spec.body().transitions;
   const auto& applicable = spec.transitions_by_state[static_cast<std::size_t>(
       st.machine.fsm_state)];
 
-  // Guard-solver facts (static-prune). `true_guards` collects candidates
-  // whose provided clause evaluated true so far in this generate; a later
+  // Guard-solver facts (static-prune). The pure candidates among the
+  // firings listed since the last impure guard evaluation are the ones
+  // whose provided clause held in the current module state; a later
   // candidate proven mutually exclusive with any of them is skipped before
   // its when-queue is consulted (so it can't spuriously mark the node PG —
   // the skip is exactly the "provided is false" outcome, decided early).
   const analysis::GuardMatrix* gm = ro.guard_matrix.get();
-  std::vector<int> true_guards;
+  std::size_t held_from = 0;  // first firing after the last impure guard
   assert(gm == nullptr || invariants_hold(*gm, st));
 
   const auto emit_static_skip = [&](int ti) {
@@ -114,8 +117,9 @@ GenResult generate(rt::Interp& interp, const tr::Trace& trace,
         continue;
       }
       bool excluded = false;
-      for (int held : true_guards) {
-        if (gm->mutex(held, ti)) {
+      for (std::size_t k = held_from; k < out.firings.size(); ++k) {
+        const int held = out.firings[k].transition;
+        if (gm->pure(held) && gm->mutex(held, ti)) {
           excluded = true;
           break;
         }
@@ -181,18 +185,19 @@ GenResult generate(rt::Interp& interp, const tr::Trace& trace,
       // offered.
       if (out.fault.empty()) out.fault = fault.what();
     }
-    if (gm != nullptr) {
-      if (gm->pure(ti)) {
-        if (holds) true_guards.push_back(ti);
-      } else {
-        // An impure guard evaluation (any outcome, including a fault) may
-        // have moved the module state; earlier held-guard facts no longer
-        // describe it.
-        true_guards.clear();
-      }
+    if (gm != nullptr && !gm->pure(ti)) {
+      // An impure guard evaluation (any outcome, including a fault) may
+      // have moved the module state; earlier held-guard facts no longer
+      // describe it.
+      held_from = out.firings.size();
     }
     if (!holds) continue;
 
+    // Grow once, to room for every candidate: a recycled list then fits
+    // any later node in this state.
+    if (out.firings.size() == out.firings.capacity()) {
+      out.firings.reserve(applicable.size());
+    }
     out.firings.push_back(std::move(firing));
   }
 

@@ -38,8 +38,13 @@ struct GenResult {
 /// `obs`, guard-solver skips emit one `prune.static` event each and the
 /// priority filter emits one `prune.shadow` event carrying the number of
 /// shadowed candidates dropped.
+///
+/// `storage` is a spent firing list the caller no longer needs (a search
+/// hands over the list of the node it just left): it is cleared and the
+/// result is built in its capacity, so a linear run allocates no lists.
 [[nodiscard]] GenResult generate(rt::Interp& interp, const tr::Trace& trace,
                                  const ResolvedOptions& ro, SearchState& st,
-                                 Stats& stats, const ObsCtx& obs = {});
+                                 Stats& stats, const ObsCtx& obs = {},
+                                 std::vector<Firing> storage = {});
 
 }  // namespace tango::core

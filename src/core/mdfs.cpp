@@ -33,8 +33,10 @@ struct OnlineAnalyzer::MNode {
 };
 
 void OnlineAnalyzer::compute_gen(MNode& node) {
+  // The node's previous list, if any, is the storage of the new one.
   node.gen = generate(interp_, trace_, ro_, node.state, stats_,
-                      ObsCtx{sink_, node.origin, -1, node.depth});
+                      ObsCtx{sink_, node.origin, -1, node.depth},
+                      std::move(node.gen.firings));
   node.gen_events = trace_.events().size();
   node.gen_eof = trace_.eof();
 }
@@ -340,7 +342,9 @@ bool OnlineAnalyzer::do_step() {
   child->origin = fire_event;
   child->depth = node.depth + 1;
   if (hand_over) {
-    // The node is a tombstone from here on: `node` is gone.
+    // The node is a tombstone from here on: `node` is gone. Its spent
+    // firing list becomes the storage of the child's.
+    child->gen.firings = std::move(node.gen.firings);
     drop(std::move(top.node));
   }
 

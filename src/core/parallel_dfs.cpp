@@ -19,6 +19,7 @@
 #include "core/generator.hpp"
 #include "core/governor.hpp"
 #include "core/obs_record.hpp"
+#include "core/veto_note.hpp"
 #include "core/visited.hpp"
 #include "support/diagnostics.hpp"
 
@@ -70,7 +71,7 @@ struct Task {
 struct Outcome {
   std::vector<std::uint32_t> lineage;
   Stats stats;
-  std::string note;
+  VetoNote note;
   bool found = false;
   PathIds solution;
   std::uint64_t witness = 0;  // enter/fire event id of the completing state
@@ -99,15 +100,6 @@ std::uint64_t firing_bytes(const std::vector<Firing>& firings) {
     bytes += f.binding.size() * sizeof(rt::Value);
   }
   return bytes;
-}
-
-/// Keeps the most diagnostic veto: a concrete parameter mismatch beats
-/// ordering complaints from unrelated failed interleavings.
-void merge_note(std::string& into, const std::string& msg) {
-  if (msg.empty()) return;
-  const bool existing_param = into.find("parameter") != std::string::npos;
-  const bool incoming_param = msg.find("parameter") != std::string::npos;
-  if (into.empty() || (incoming_param && !existing_param)) into = msg;
 }
 
 /// The §2.2 backtracking search: one task loop (explore) under the three
@@ -164,7 +156,7 @@ class SearchEngine {
       if (!init.ok) {
         emit_enter(sink_, static_cast<int>(ii), -1, init.executed, false,
                    false, 0);
-        merge_note(first.note, init.note);
+        first.note.merge(init.note);
         continue;
       }
       bool first_root = true;
@@ -200,13 +192,14 @@ class SearchEngine {
                 return a.lineage < b.lineage;
               });
     result.stats = first.stats;
-    result.note = first.note;
+    VetoNote note = first.note;
     const Outcome* winner = first.found ? &first : nullptr;
     for (const Outcome& o : outcomes_) {
       result.stats += o.stats;
-      merge_note(result.note, o.note);
+      note.merge(o.note);
       if (o.found && winner == nullptr) winner = &o;
     }
+    result.note = note.text();
     const std::uint64_t run_evictions =
         shared_visited_ != nullptr ? shared_visited_->total_evictions()
                                    : visited_.evictions();
@@ -501,6 +494,11 @@ class SearchEngine {
       return path;
     };
 
+    // The firing list of the last node whose last alternative was taken:
+    // the storage the next generate builds in, so a linear run allocates
+    // no lists.
+    std::vector<Firing> spare;
+
     // Pushes the node `cur` is in — generating its firings unless the task
     // carries them — and saves a checkpoint when it branches.
     const auto push_node = [&](std::uint64_t origin, int depth,
@@ -511,8 +509,9 @@ class SearchEngine {
         frame.firings = std::move(*firings);
       } else {
         GenResult gen = generate(interp, trace_, ro_, cur, stats,
-                                 ObsCtx{sink_, origin, wid, depth});
-        merge_note(out.note, gen.fault);
+                                 ObsCtx{sink_, origin, wid, depth},
+                                 std::move(spare));
+        out.note.offer_fault(gen.fault);
         frame.firings = std::move(gen.firings);
       }
       if (frame.firings.size() > 1) {
@@ -587,20 +586,21 @@ class SearchEngine {
 
       // Taking the last alternative ends the node's use for its firings
       // and its checkpoint: nothing will restore to it again. Its mark is
-      // the newest live one, since the frame is on top of the stack.
-      std::vector<Firing> last;
-      if (frame.next == frame.firings.size()) {
+      // the newest live one, since the frame is on top of the stack. The
+      // spent list becomes the spare that the child's generate reuses.
+      const bool last = frame.next == frame.firings.size();
+      if (last) {
         frame_bytes -= firing_bytes(frame.firings);
-        last = std::move(frame.firings);
+        spare = std::move(frame.firings);
         frame.firings = {};
         if (frame.mark != kNone) {
           ckpt->forget(frame.mark);
           frame.mark = kNone;
         }
       }
-      const Firing& firing = last.empty() ? frame.firings[pick] : last[pick];
-      ApplyResult applied =
-          apply_firing(interp, trace_, ro_, cur, firing, stats, ckpt.get());
+      const Firing& firing = last ? spare[pick] : frame.firings[pick];
+      ApplyResult applied = apply_firing(interp, trace_, ro_, cur, firing,
+                                         stats, ckpt.get(), &out.note);
       bump_shared_te();
       const bool done = applied.ok && cur.cursors.all_done(trace_, ro_);
       // One hash per fired node, shared by the fire event and the visited
@@ -631,7 +631,6 @@ class SearchEngine {
       if (!applied.ok) {
         // cur is now dirty; the next sibling (or an ancestor's) restore
         // repairs it before anything else executes.
-        merge_note(out.note, applied.note);
         continue;
       }
 

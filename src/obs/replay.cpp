@@ -175,7 +175,7 @@ class Replayer {
     }
     if (!init.ok) {
       issue(i, "recorded ok enter, but initializer " + std::to_string(e.init) +
-                   " is vetoed on replay: " + init.note);
+                   " is vetoed on replay: " + init.note.text());
       return;
     }
     Node node;
@@ -266,12 +266,14 @@ class Replayer {
     }
     Node child;
     child.state = parent->state;
+    core::VetoNote note;
     core::ApplyResult applied = core::apply_firing(
-        *interp_, trace_, *ro_, child.state, *firing, scratch_);
+        *interp_, trace_, *ro_, child.state, *firing, scratch_, nullptr,
+        &note);
     if (!applied.ok) {
       issue(i, "recorded ok fire of transition " +
                    std::to_string(e.transition) +
-                   " is vetoed on replay: " + applied.note);
+                   " is vetoed on replay: " + note.text());
       return;
     }
     const std::uint64_t h = child.state.hash();

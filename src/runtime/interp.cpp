@@ -1,5 +1,6 @@
 #include "runtime/interp.hpp"
 
+#include <span>
 #include <type_traits>
 #include <utility>
 
@@ -38,29 +39,55 @@ bool calls_routine(const Expr& e) {
   return false;
 }
 
-struct Frame {
-  struct Slot {
-    Value v;
-    Value* ref = nullptr;  // set for var-parameters
-  };
-  std::vector<Slot> slots;
-  const std::vector<Value>* when_params = nullptr;
+/// The locals of a transition block, initializer or routine call. The
+/// n-th live frame uses the Interp's n-th slot buffer, not a vector of its
+/// own; frames nest (RAII), so buffers are taken and given back LIFO. A
+/// function called while a callee's arguments are being bound is live
+/// alongside that callee, so the index is the live count, not the call
+/// depth. The buffer is cleared on exit: locals still die at return.
+class Frame {
+ public:
+  Frame(detail::ExecStorage& st, int size) : st_(st), slots_(buffer(st)) {
+    slots_.resize(static_cast<std::size_t>(size));  // may throw: not live yet
+    ++st_.live_frames;
+  }
+  Frame(const Frame&) = delete;
+  Frame& operator=(const Frame&) = delete;
+  ~Frame() {
+    slots_.clear();
+    --st_.live_frames;
+  }
 
+  detail::FrameSlot& slot(int i) {
+    return slots_[static_cast<std::size_t>(i)];
+  }
   Value& slot_value(int i) {
-    Slot& s = slots[static_cast<std::size_t>(i)];
+    detail::FrameSlot& s = slot(i);
     return s.ref != nullptr ? *s.ref : s.v;
   }
+
+  const std::vector<Value>* when_params = nullptr;
+
+ private:
+  static std::vector<detail::FrameSlot>& buffer(detail::ExecStorage& st) {
+    if (st.live_frames == st.frames.size()) st.frames.emplace_back();
+    return st.frames[st.live_frames];
+  }
+
+  detail::ExecStorage& st_;
+  std::vector<detail::FrameSlot>& slots_;
 };
 
 class Exec {
  public:
   Exec(const est::Spec& spec, MachineState& m, EvalMode mode,
-       const InterpLimits& limits, OutputSink* sink, bool read_only,
-       Trail* trail = nullptr)
+       const InterpLimits& limits, detail::ExecStorage& storage,
+       OutputSink* sink, bool read_only, Trail* trail = nullptr)
       : spec_(spec),
         m_(m),
         mode_(mode),
         limits_(limits),
+        storage_(storage),
         sink_(sink),
         read_only_(read_only),
         trail_(trail),
@@ -69,7 +96,7 @@ class Exec {
   void init_locals(Frame& f, const std::vector<est::VarDecl>& decls) {
     for (const est::VarDecl& d : decls) {
       for (std::size_t i = 0; i < d.names.size(); ++i) {
-        f.slots[static_cast<std::size_t>(d.first_slot) + i].v =
+        f.slot(d.first_slot + static_cast<int>(i)).v =
             default_value(d.type->resolved);
       }
     }
@@ -519,7 +546,8 @@ class Exec {
   }
 
   /// Binds `args` into `f`, a fresh frame for `r`, and runs the body.
-  /// Returns false when an output in the body was vetoed.
+  /// Returns false when an output in the body was vetoed. An argument may
+  /// call a function, whose frame is then live above `f`.
   [[nodiscard]] bool run_routine(const est::Routine& r,
                                  const std::vector<est::ExprPtr>& args,
                                  Frame& caller, SourceLoc loc, Frame& f) {
@@ -527,14 +555,13 @@ class Exec {
       throw RuntimeFault(loc, "call depth limit exceeded (runaway recursion "
                               "in '" + r.name + "')");
     }
-    f.slots.resize(static_cast<std::size_t>(r.frame_size));
-    std::size_t slot = 0;
-    for (std::size_t i = 0; i < args.size(); ++i, ++slot) {
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      detail::FrameSlot& slot = f.slot(static_cast<int>(i));
       if (r.param_by_ref[i]) {
-        f.slots[slot].ref = lvalue(*args[i], caller);
+        slot.ref = lvalue(*args[i], caller);
       } else {
-        f.slots[slot].v = eval(*args[i], caller);
-        range_check(r.param_types[i], f.slots[slot].v, args[i]->loc);
+        slot.v = eval(*args[i], caller);
+        range_check(r.param_types[i], slot.v, args[i]->loc);
       }
     }
     init_locals(f, r.locals);
@@ -550,9 +577,9 @@ class Exec {
   Value call_function(const est::Routine& r,
                       const std::vector<est::ExprPtr>& args, Frame& caller,
                       SourceLoc loc) {
-    Frame f;
+    Frame f(storage_, r.frame_size);
     if (!run_routine(r, args, caller, loc, f)) throw PathAbort{};
-    return std::move(f.slots[static_cast<std::size_t>(r.result_slot)].v);
+    return std::move(f.slot(r.result_slot).v);
   }
 
   [[nodiscard]] bool exec_all(const std::vector<est::StmtPtr>& body,
@@ -602,20 +629,33 @@ class Exec {
       *p = Value{};  // Pascal leaves the pointer undefined
       return true;
     }
-    Frame callee;
-    return run_routine(routine(s.routine_index), s.args, f, s.loc, callee);
+    const est::Routine& r = routine(s.routine_index);
+    Frame callee(storage_, r.frame_size);
+    return run_routine(r, s.args, f, s.loc, callee);
   }
 
-  /// False when the sink vetoes the output.
+  /// False when the sink vetoes the output. The arguments are evaluated
+  /// onto the Interp's argument stack above its size at entry; an output
+  /// in a function an argument calls stacks above them and pops before
+  /// this output's span is taken.
   [[nodiscard]] bool exec_output(const Stmt& s, Frame& f) {
     if (read_only_ || sink_ == nullptr) {
       throw RuntimeFault(s.loc,
                          "output statement not allowed in this context");
     }
-    std::vector<Value> params;
-    params.reserve(s.args.size());
-    for (const est::ExprPtr& a : s.args) params.push_back(eval(*a, f));
-    return sink_->on_output(s.ip_index, s.interaction_id, std::move(params),
+    std::vector<Value>& stack = storage_.out_args;
+    // Pops this output's arguments on every exit, a throw included.
+    struct Pop {
+      std::vector<Value>& stack;
+      std::size_t base;
+      ~Pop() { stack.resize(base); }
+    } pop{stack, stack.size()};
+    for (const est::ExprPtr& a : s.args) {
+      Value v = eval(*a, f);
+      stack.push_back(std::move(v));
+    }
+    return sink_->on_output(s.ip_index, s.interaction_id,
+                            std::span<const Value>(stack).subspan(pop.base),
                             s.loc);
   }
 
@@ -623,6 +663,7 @@ class Exec {
   MachineState& m_;
   EvalMode mode_;
   const InterpLimits& limits_;
+  detail::ExecStorage& storage_;
   OutputSink* sink_;
   bool read_only_;
   Trail* trail_;
@@ -639,9 +680,9 @@ Interp::Interp(const est::Spec& spec, EvalMode mode, InterpLimits limits)
 
 bool Interp::run_initializer(MachineState& m, const est::Initializer& init,
                              OutputSink& sink, Trail* trail) {
-  Exec exec(spec_, m, mode_, limits_, &sink, /*read_only=*/false, trail);
-  Frame f;
-  f.slots.resize(static_cast<std::size_t>(init.frame_size));
+  Exec exec(spec_, m, mode_, limits_, storage_, &sink, /*read_only=*/false,
+            trail);
+  Frame f(storage_, init.frame_size);
   exec.init_locals(f, init.locals);
   try {
     if (init.block && !exec.exec(*init.block, f)) return false;
@@ -656,9 +697,9 @@ bool Interp::run_initializer(MachineState& m, const est::Initializer& init,
 bool Interp::fire(MachineState& m, const est::Transition& tr,
                   const std::vector<Value>& when_args, OutputSink& sink,
                   Trail* trail) {
-  Exec exec(spec_, m, mode_, limits_, &sink, /*read_only=*/false, trail);
-  Frame f;
-  f.slots.resize(static_cast<std::size_t>(tr.frame_size));
+  Exec exec(spec_, m, mode_, limits_, storage_, &sink, /*read_only=*/false,
+            trail);
+  Frame f(storage_, tr.frame_size);
   f.when_params = &when_args;
   exec.init_locals(f, tr.locals);
   try {
@@ -676,9 +717,8 @@ bool Interp::fire(MachineState& m, const est::Transition& tr,
 bool Interp::provided_holds(MachineState& m, const est::Transition& tr,
                             const std::vector<Value>& when_args) {
   if (!tr.provided) return true;
-  Exec exec(spec_, m, mode_, limits_, nullptr, /*read_only=*/true);
-  Frame f;
-  f.slots.resize(static_cast<std::size_t>(tr.frame_size));
+  Exec exec(spec_, m, mode_, limits_, storage_, nullptr, /*read_only=*/true);
+  Frame f(storage_, tr.frame_size);
   f.when_params = &when_args;
   Value v = exec.eval(*tr.provided, f);
   if (v.is_undefined()) {
@@ -692,9 +732,8 @@ bool Interp::provided_holds(MachineState& m, const est::Transition& tr,
 
 bool Interp::provided_holds(MachineState& m, const est::Initializer& init) {
   if (!init.provided) return true;
-  Exec exec(spec_, m, mode_, limits_, nullptr, /*read_only=*/true);
-  Frame f;
-  f.slots.resize(static_cast<std::size_t>(init.frame_size));
+  Exec exec(spec_, m, mode_, limits_, storage_, nullptr, /*read_only=*/true);
+  Frame f(storage_, init.frame_size);
   Value v = exec.eval(*init.provided, f);
   if (v.is_undefined()) {
     if (mode_ == EvalMode::Partial) return true;

@@ -5,7 +5,10 @@
 // matches them against the trace and vetoes mismatching paths.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <span>
 #include <vector>
 
 #include "estelle/spec.hpp"
@@ -22,15 +25,17 @@ class OutputSink {
 
   /// Return false to veto the current execution path (the transition is
   /// aborted and fire() returns false). The analyzer uses this to reject
-  /// outputs that do not match the trace.
+  /// outputs that do not match the trace. `params` lives on the
+  /// interpreter's argument stack: it is valid only during this call, so a
+  /// sink that keeps the values copies them.
   virtual bool on_output(int ip_index, int interaction_id,
-                         std::vector<Value> params, SourceLoc loc) = 0;
+                         std::span<const Value> params, SourceLoc loc) = 0;
 };
 
 /// Accepts and ignores every output (useful for warm-up and tests).
 class NullSink final : public OutputSink {
  public:
-  bool on_output(int, int, std::vector<Value>, SourceLoc) override {
+  bool on_output(int, int, std::span<const Value>, SourceLoc) override {
     return true;
   }
 };
@@ -48,6 +53,32 @@ struct InterpLimits {
   int max_call_depth = 256;
 };
 
+namespace detail {
+
+/// One local of a routine frame: its value, or for a var-parameter the
+/// caller's location it aliases.
+struct FrameSlot {
+  Value v;
+  Value* ref = nullptr;
+};
+
+/// Storage an Interp reuses from one call to the next, so that firing a
+/// transition allocates nothing once the buffers have grown.
+struct ExecStorage {
+  /// Slot buffers of the live frames: the n-th live frame uses buffer n
+  /// (frames nest, so they come and go LIFO). A deque, so taking a new
+  /// buffer leaves the live frames' buffers in place.
+  std::deque<std::vector<FrameSlot>> frames;
+  std::size_t live_frames = 0;
+  /// Output arguments: each output statement evaluates its arguments above
+  /// the stack's size at entry and pops back to it on every exit.
+  std::vector<Value> out_args;
+};
+
+}  // namespace detail
+
+/// Holds reusable frame and argument storage, so an Interp is used by one
+/// thread at a time; each search worker and analyzer makes its own.
 class Interp {
  public:
   explicit Interp(const est::Spec& spec, EvalMode mode = EvalMode::Strict,
@@ -87,6 +118,7 @@ class Interp {
   const est::Spec& spec_;
   EvalMode mode_;
   InterpLimits limits_;
+  detail::ExecStorage storage_;
 };
 
 }  // namespace tango::rt

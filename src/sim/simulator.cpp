@@ -4,6 +4,7 @@
 #include <deque>
 #include <limits>
 #include <random>
+#include <span>
 
 #include "support/text.hpp"
 
@@ -16,13 +17,13 @@ class RecordingSink final : public rt::OutputSink {
  public:
   explicit RecordingSink(tr::Trace& trace) : trace_(trace) {}
 
-  bool on_output(int ip, int interaction_id, std::vector<rt::Value> params,
-                 SourceLoc) override {
+  bool on_output(int ip, int interaction_id,
+                 std::span<const rt::Value> params, SourceLoc) override {
     tr::TraceEvent e;
     e.dir = tr::Dir::Out;
     e.ip = ip;
     e.interaction = interaction_id;
-    e.params = std::move(params);
+    e.params.assign(params.begin(), params.end());
     trace_.append(std::move(e));
     return true;
   }

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <span>
 
 #include "estelle/spec.hpp"
 
@@ -43,9 +44,9 @@ struct Fired {
 
 class CollectSink final : public OutputSink {
  public:
-  bool on_output(int ip, int id, std::vector<Value> params,
+  bool on_output(int ip, int id, std::span<const Value> params,
                  SourceLoc) override {
-    fired.push_back(Fired{ip, id, std::move(params)});
+    fired.push_back(Fired{ip, id, {params.begin(), params.end()}});
     return true;
   }
   std::vector<Fired> fired;
@@ -56,12 +57,13 @@ class CollectSink final : public OutputSink {
 struct Harness {
   explicit Harness(std::string_view body_src,
                    EvalMode mode = EvalMode::Strict,
-                   std::string_view inputs = "go; d(v: integer);")
+                   std::string_view inputs = "go; d(v: integer);",
+                   std::string_view outputs = "r(v: integer);")
       : spec(est::compile_spec(
             "specification s;\n"
             "channel CH(A, B);\n"
             "  by A: " + std::string(inputs) + "\n"
-            "  by B: r(v: integer);\n"
+            "  by B: " + std::string(outputs) + "\n"
             "module M systemprocess; ip P: CH(B); end;\n"
             "body MB for M;\n" +
             std::string(body_src) + "\nend;\nend.\n")),
@@ -363,7 +365,7 @@ TEST(Interp, TransitionChangesFsmState) {
 TEST(Interp, SinkVetoAbortsFiring) {
   class Veto final : public OutputSink {
    public:
-    bool on_output(int, int, std::vector<Value>, SourceLoc) override {
+    bool on_output(int, int, std::span<const Value>, SourceLoc) override {
       return false;
     }
   };
@@ -494,7 +496,7 @@ TEST(Interp, DivisionByZeroFaults) {
 class VetoAt final : public OutputSink {
  public:
   explicit VetoAt(int veto_at) : veto_at_(veto_at) {}
-  bool on_output(int, int, std::vector<Value>, SourceLoc) override {
+  bool on_output(int, int, std::span<const Value>, SourceLoc) override {
     return ++seen < veto_at_;
   }
   int seen = 0;
@@ -808,6 +810,176 @@ TEST(InterpRead, SubscriptCallReassigningTheArrayKeepsCopySemantics) {
     initialize to z begin new(p); q := p; q^[drop] := 5; end;
 )");
   EXPECT_NE(what.find("dangling pointer"), std::string::npos) << what;
+}
+
+// ---------------------------------------------------------------------
+// Reused storage: frames take the Interp's slot buffers by live count and
+// outputs evaluate onto its argument stack. These cases fail when a frame
+// shares a buffer with another live frame, or when a buffer or the stack
+// is not given back on every exit.
+// ---------------------------------------------------------------------
+
+TEST(InterpStorage, ArgumentsCallFunctionsWithLocals) {
+  // p's frame is live while its arguments call f and g (and g calls f):
+  // each needs a buffer of its own, though none is deeper than p.
+  Harness h(R"(
+    var a, b, c: integer;
+    function f(k: integer): integer;
+    var t, u: integer;
+    begin t := k * 10; u := t + 1; f := u; end;
+    function g(k: integer): integer;
+    var t: integer;
+    begin t := k * 100; g := t + f(k); end;
+    procedure p(x, y: integer);
+    var l: integer;
+    begin l := x + y; a := x; b := y; c := l; end;
+    state z;
+    initialize to z begin p(f(1), g(2)); end;
+    trans from z to z when P.go name t: begin p(f(3), g(4)); end;
+)");
+  EXPECT_EQ(h.var("a").scalar(), 11);
+  EXPECT_EQ(h.var("b").scalar(), 221);
+  EXPECT_EQ(h.var("c").scalar(), 232);
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_TRUE(h.fire("t"));
+    EXPECT_EQ(h.var("a").scalar(), 31);
+    EXPECT_EQ(h.var("b").scalar(), 441);
+    EXPECT_EQ(h.var("c").scalar(), 472);
+  }
+}
+
+TEST(InterpStorage, RecursionWithLocals) {
+  // Each activation's locals survive the deeper calls made after they
+  // were set; fib's `l` survives the whole second recursive call.
+  Harness h(R"(
+    var s, r: integer;
+    function sum(n: integer): integer;
+    var here, rest: integer;
+    begin
+      here := n;
+      if n = 0 then rest := 0 else rest := sum(n - 1);
+      sum := here + rest;
+    end;
+    function fib(n: integer): integer;
+    var l, m: integer;
+    begin
+      if n < 2 then fib := n
+      else begin l := fib(n - 1); m := fib(n - 2); fib := l + m; end;
+    end;
+    state z;
+    initialize to z begin s := sum(10); r := fib(12); end;
+    trans from z to z when P.go name t: begin s := sum(20); r := fib(10); end;
+)");
+  EXPECT_EQ(h.var("s").scalar(), 55);
+  EXPECT_EQ(h.var("r").scalar(), 144);
+  ASSERT_TRUE(h.fire("t"));
+  EXPECT_EQ(h.var("s").scalar(), 210);
+  EXPECT_EQ(h.var("r").scalar(), 55);
+}
+
+TEST(InterpStorage, VarParamAliasIntoCallerLocalSurvivesDeeperCalls) {
+  // inc's `x` aliases outer's local `loc`. The alias is bound before the
+  // second argument calls deep, and inc calls deep again before its last
+  // write through the alias: neither may move or clear outer's slots.
+  Harness h(R"(
+    var r, s: integer;
+    function deep(n: integer): integer;
+    var t, u: integer;
+    begin
+      t := n; u := n * 2;
+      if n > 0 then deep := deep(n - 1) + t + u else deep := 0;
+    end;
+    procedure inc(var x: integer; k: integer);
+    begin x := x + k; x := x + deep(1); end;
+    procedure outer(k: integer);
+    var loc, pad: integer;
+    begin loc := k; pad := 7; inc(loc, deep(2)); r := loc; s := pad; end;
+    state z;
+    initialize to z begin outer(5); end;
+)");
+  EXPECT_EQ(h.var("r").scalar(), 5 + 9 + 3);  // deep(2) = 9, deep(1) = 3
+  EXPECT_EQ(h.var("s").scalar(), 7);
+}
+
+TEST(InterpStorage, OutputArgumentCallsAFunctionThatOutputs) {
+  // noisy's outputs stack above pair's first argument and pop before
+  // pair's span is taken: the sink sees both inner outputs, then pair.
+  Harness h(R"(
+    var n: integer;
+    function noisy(k: integer): integer;
+    var t: integer;
+    begin t := k + 1; output P.r(t); noisy := t * 10; end;
+    state z;
+    initialize to z begin n := 0; end;
+    trans from z to z when P.go name t: begin
+      output P.pair(noisy(1), noisy(2) + 1);
+      output P.r(n);
+    end;
+)",
+            EvalMode::Strict, "go;",
+            "r(v: integer); pair(x: integer; y: integer);");
+  ASSERT_TRUE(h.fire("t"));
+  // Each output as its interaction name and its parameters.
+  std::vector<std::string> got;
+  for (const Fired& f : h.sink.fired) {
+    std::string line = h.spec.interaction(f.id).name;
+    for (const Value& v : f.params) line += " " + v.to_string();
+    got.push_back(line);
+  }
+  EXPECT_EQ(got, (std::vector<std::string>{"r 2", "r 3", "pair 20 31",
+                                           "r 0"}));
+}
+
+TEST(InterpStorage, FaultInANestedCallLeavesTheInterpLikeAFreshOne) {
+  // boom faults three frames deep, with a var-parameter bound, a local
+  // set and one output argument already evaluated. The same Interp then
+  // fires ok exactly as a fresh one does.
+  constexpr const char* kSpec = R"(
+    var x, y: integer;
+    function bad(k: integer): integer;
+    var t: integer;
+    begin t := k; bad := 10 div (t - t); end;
+    procedure wrap(var q: integer; k: integer);
+    var l: integer;
+    begin l := k; q := bad(l) + l; end;
+    function cause(k: integer): integer;
+    begin wrap(x, k); cause := x; end;
+    function f(k: integer): integer;
+    var t, u: integer;
+    begin t := k; u := t * 2; f := t + u; end;
+    state z;
+    initialize to z begin x := 1; y := 0; end;
+    trans
+      from z to z when P.go name boom: begin
+        output P.pair(f(1), cause(2));
+      end;
+      from z to z when P.go name ok: begin
+        y := f(2) + f(3);
+        output P.pair(f(4), y);
+      end;
+)";
+  constexpr const char* kOutputs =
+      "r(v: integer); pair(x: integer; y: integer);";
+  Harness reused(kSpec, EvalMode::Strict, "go;", kOutputs);
+  EXPECT_THROW(reused.fire("boom"), RuntimeFault);
+  EXPECT_TRUE(reused.sink.fired.empty());
+  ASSERT_TRUE(reused.fire("ok"));
+
+  Harness fresh(kSpec, EvalMode::Strict, "go;", kOutputs);
+  ASSERT_TRUE(fresh.fire("ok"));
+
+  EXPECT_EQ(reused.var("y").scalar(), 15);  // f(2) + f(3) = 6 + 9
+  EXPECT_EQ(reused.var("y").scalar(), fresh.var("y").scalar());
+  EXPECT_EQ(reused.var("x").scalar(), fresh.var("x").scalar());
+  ASSERT_EQ(reused.sink.fired.size(), 1u);
+  ASSERT_EQ(fresh.sink.fired.size(), 1u);
+  ASSERT_EQ(reused.sink.fired[0].params.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(equals(reused.sink.fired[0].params[i],
+                       fresh.sink.fired[0].params[i], false))
+        << i;
+  }
+  EXPECT_EQ(reused.sink.fired[0].params[0].scalar(), 12);
 }
 
 }  // namespace
