@@ -375,7 +375,8 @@ Cli parse_cli(int argc, char** argv, int first) {
       }
       continue;
     }
-    if (starts_with(a, "--")) unknown_option(a, std::move(tried));
+    // No command takes a positional starting with '-' but "-" (stdin).
+    if (starts_with(a, "-") && a != "-") unknown_option(a, std::move(tried));
     cli.positional.push_back(a);
   }
   return cli;
@@ -436,20 +437,18 @@ int cmd_analyze_batch(const Cli& cli) {
     return 2;
   }
 
-  // Per-item parse isolation: one unreadable or malformed trace file is
-  // that item's error, never a reason to abort the other items.
+  // One result per file. Per-item parse isolation: one unreadable or
+  // malformed trace file is that item's error, never a reason to abort the
+  // other items; the parsed ones are analyzed and moved back in.
+  std::vector<core::BatchItemResult> results(files.size());
   std::vector<tr::Trace> traces;
-  std::vector<std::string> parse_errors(files.size());
-  std::vector<std::ptrdiff_t> slot(files.size(), -1);  // file -> batch index
-  std::vector<std::size_t> good;
+  std::vector<std::size_t> good;  // batch index -> file
   for (std::size_t i = 0; i < files.size(); ++i) {
     try {
-      tr::Trace t = tr::parse_trace(spec, read_file(files[i]));
-      slot[i] = static_cast<std::ptrdiff_t>(traces.size());
-      traces.push_back(std::move(t));
+      traces.push_back(tr::parse_trace(spec, read_file(files[i])));
       good.push_back(i);
     } catch (const std::exception& e) {
-      parse_errors[i] = e.what();
+      results[i].error = e.what();
     }
   }
 
@@ -468,8 +467,11 @@ int cmd_analyze_batch(const Cli& cli) {
       sink_storage.push_back(std::move(sink));
     }
   }
-  std::vector<core::BatchItemResult> results =
+  std::vector<core::BatchItemResult> analyzed =
       core::analyze_batch(spec, traces, cli.options, sinks);
+  for (std::size_t k = 0; k < good.size(); ++k) {
+    results[good[k]] = std::move(analyzed[k]);
+  }
 
   std::size_t valid = 0;
   std::size_t errors = 0;
@@ -477,47 +479,39 @@ int cmd_analyze_batch(const Cli& cli) {
   std::string out;
   if (json) out = "{\"items\":[";
   for (std::size_t i = 0; i < files.size(); ++i) {
-    static const core::BatchItemResult kEmpty;
-    const bool parsed = slot[i] >= 0;
-    const core::BatchItemResult& r =
-        parsed ? results[static_cast<std::size_t>(slot[i])] : kEmpty;
-    const std::string& error = parsed ? r.error : parse_errors[i];
+    const core::BatchItemResult& r = results[i];
     const core::InconclusiveReason reason = r.result.reason;
-    if (error.empty() && r.result.verdict == core::Verdict::Valid) ++valid;
-    if (!error.empty()) ++errors;
+    if (r.error.empty() && r.result.verdict == core::Verdict::Valid) ++valid;
+    if (!r.error.empty()) ++errors;
     if (json) {
       if (i != 0) out += ',';
       out += "{\"file\":";
       obs::escape_json_into(out, files[i]);
       out += ",\"verdict\":\"";
-      out += error.empty() ? core::to_string(r.result.verdict)
-                           : std::string_view("error");
+      out += r.error.empty() ? core::to_string(r.result.verdict)
+                             : std::string_view("error");
       out += '"';
       if (reason != core::InconclusiveReason::None) {
         out += ",\"reason\":\"";
         out += core::to_string(reason);
         out += '"';
       }
-      if (!error.empty()) {
+      if (!r.error.empty()) {
         out += ",\"error\":";
-        obs::escape_json_into(out, error);
+        obs::escape_json_into(out, r.error);
       }
-      out += ",\"attempts\":" + std::to_string(r.attempts);
-      if (error.empty()) out += ",\"stats\":" + r.result.stats.to_json();
+      if (r.error.empty()) out += ",\"stats\":" + r.result.stats.to_json();
       out += '}';
       continue;
     }
-    if (!error.empty()) {
-      std::cout << files[i] << ": error: " << error;
-      if (r.attempts > 1) std::cout << " (attempts: " << r.attempts << ")";
-      std::cout << "\n";
+    if (!r.error.empty()) {
+      std::cout << files[i] << ": error: " << r.error << "\n";
       continue;
     }
     std::cout << files[i] << ": " << core::to_string(r.result.verdict);
     if (reason != core::InconclusiveReason::None) {
       std::cout << " (reason: " << core::to_string(reason) << ")";
     }
-    if (r.attempts > 1) std::cout << " (attempts: " << r.attempts << ")";
     if (cli.verbose) std::cout << " (" << r.result.stats.summary() << ")";
     std::cout << "\n";
   }

@@ -19,8 +19,7 @@ struct Entry {
 };
 
 bool parse_site(std::string_view name, FaultSite& out) {
-  for (const FaultSite s :
-       {FaultSite::Alloc, FaultSite::TraceRead, FaultSite::Deadline}) {
+  for (const FaultSite s : {FaultSite::Alloc, FaultSite::Deadline}) {
     if (to_string(s) == name) {
       out = s;
       return true;
@@ -79,7 +78,7 @@ void FaultInjector::configure(std::string_view spec) {
     if (!parse_site(site, e.site)) {
       throw std::invalid_argument("fault spec '" + std::string(part) +
                                   "': unknown site '" + std::string(site) +
-                                  "' (alloc, trace-read, deadline)");
+                                  "' (alloc, deadline)");
     }
     entries.push_back(std::move(e));
   }

@@ -1,7 +1,7 @@
 // Debug-build fault injection (docs/ROBUSTNESS.md). The degradation paths
 // of the resource governor and the batch front-end — allocation failure,
-// trace-read errors, deadline expiry — are unreachable on healthy inputs,
-// so tests and CI seed this hook to force them at chosen points.
+// deadline expiry — are unreachable on healthy inputs, so tests and CI
+// seed this hook to force them at chosen points.
 //
 // Disabled entirely in NDEBUG builds: every probe compiles to `false` with
 // no singleton access, so release binaries carry no injection surface.
@@ -11,7 +11,7 @@
 //   entry  := site               fire at every probe of that site
 //           | site '@' scope     fire at every probe within that scope
 //           | site ':' N         fire at the Nth probe of that site (1-based)
-//   site   := alloc | trace-read | deadline
+//   site   := alloc | deadline
 // Scopes are thread-local strings installed with FaultScope; analyze_batch
 // wraps item i in scope "item:<i>", so "deadline@item:2" forces only the
 // third corpus entry over its deadline.
@@ -23,14 +23,13 @@
 
 namespace tango::core {
 
-enum class FaultSite : std::uint8_t { Alloc, TraceRead, Deadline };
+enum class FaultSite : std::uint8_t { Alloc, Deadline };
 
-inline constexpr std::size_t kFaultSiteCount = 3;
+inline constexpr std::size_t kFaultSiteCount = 2;
 
 [[nodiscard]] constexpr std::string_view to_string(FaultSite s) {
   switch (s) {
     case FaultSite::Alloc: return "alloc";
-    case FaultSite::TraceRead: return "trace-read";
     case FaultSite::Deadline: return "deadline";
   }
   return "?";

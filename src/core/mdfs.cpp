@@ -274,21 +274,23 @@ bool OnlineAnalyzer::do_step() {
   // The last firing of a node that is not partially generated and has not
   // consumed the whole trace leaves the node nothing to do but backtrack:
   // no rule parks it, re-generates it or concludes `valid` on it (events
-  // only append, so it never becomes all-done). It hands its state to the
-  // child under a mark that undoes a failed firing. Every other node keeps
-  // its state, since §3.1.1 may still use it, and copies it into the child.
+  // only append, so it never becomes all-done). It fires on its own state
+  // under a mark that undoes a failed firing and, on success, becomes the
+  // child. Every other node keeps its state, since §3.1.1 may still use
+  // it, and copies it into the child.
   const bool hand_over = node.next == node.gen.firings.size() &&
                          !node.gen.incomplete &&
                          !node.state.cursors.all_done(trace_, ro_);
-  auto child = std::make_unique<MNode>();
+  std::unique_ptr<MNode> child;
   std::size_t mark = 0;
   if (hand_over) {
-    child->state = std::move(node.state);
-    mark = ckpt_->save(child->state);
+    mark = ckpt_->save(node.state);
   } else {
+    child = std::make_unique<MNode>();
     child->state = ckpt_->snapshot(node.state);
     node.explored.insert({firing.transition, firing.input_event});
   }
+  SearchState& state = hand_over ? node.state : child->state;
   // SA/RE count one save and one restore per fired node either way, as
   // §3.2.2 counts them; checkpoint_bytes counts the copies really made.
   ++stats_.saves;
@@ -298,17 +300,13 @@ bool OnlineAnalyzer::do_step() {
                node.depth);
 
   ApplyResult applied =
-      apply_firing(interp_, trace_, ro_, child->state, firing, stats_,
+      apply_firing(interp_, trace_, ro_, state, firing, stats_,
                    hand_over ? ckpt_.get() : nullptr);
   if (hand_over) {
-    if (!applied.ok) {
-      ckpt_->restore(mark, child->state);
-      node.state = std::move(child->state);
-    }
+    if (!applied.ok) ckpt_->restore(mark, state);
     ckpt_->forget(mark);
   }
-  const bool child_done =
-      applied.ok && child->state.cursors.all_done(trace_, ro_);
+  const bool child_done = applied.ok && state.cursors.all_done(trace_, ro_);
   std::uint64_t fire_event = 0;
   if (sink_ != nullptr) {
     obs::Event e;
@@ -323,7 +321,7 @@ bool OnlineAnalyzer::do_step() {
     e.retry = applied.retry_later;
     if (applied.ok) {
       e.all_done = child_done;
-      e.state_hash = state_hash(child->state, config_.options);
+      e.state_hash = state_hash(state, config_.options);
     }
     sink_->emit(e);
     fire_event = e.id;
@@ -339,14 +337,16 @@ bool OnlineAnalyzer::do_step() {
     return true;
   }
 
-  child->origin = fire_event;
-  child->depth = node.depth + 1;
   if (hand_over) {
-    // The node is a tombstone from here on: `node` is gone. Its spent
-    // firing list becomes the storage of the child's.
-    child->gen.firings = std::move(node.gen.firings);
-    drop(std::move(top.node));
+    // The slot is a tombstone from here on. The node's spent firing list
+    // becomes the storage of its list as the child.
+    node_bytes_ -= node.charge;
+    node.next = 0;
+    node.explored.clear();
+    child = std::move(top.node);
   }
+  child->origin = fire_event;
+  child->depth = top.depth + 1;
 
   stats_.max_depth = std::max(stats_.max_depth,
                               static_cast<int>(stack_.size()));

@@ -12,9 +12,9 @@
 // Memory follows the search frontier. A node keeps a whole state only
 // while §3.1.1 can still use it: while it has untaken firings, may be
 // parked, or may conclude `valid` when popped. A node that hands out its
-// last firing with none of these left moves its state into the child
-// (under a checkpoint mark that undoes a failed firing) and shrinks to a
-// tombstone holding only what its backtrack event needs.
+// last firing with none of these left fires on its own state (under a
+// checkpoint mark that undoes a failed firing) and becomes the child,
+// leaving a tombstone that holds only what its backtrack event needs.
 #pragma once
 
 #include <cstdint>
@@ -117,9 +117,8 @@ class OnlineAnalyzer {
 
  private:
   struct MNode;
-  /// One stack entry. `node` is null once the node has moved its state
-  /// into its last child: the tombstone keeps only what its backtrack
-  /// event names.
+  /// One stack entry. `node` is null once the node has become its last
+  /// child: the tombstone keeps only what its backtrack event names.
   struct Slot {
     std::uint64_t origin = 0;
     int depth = 0;

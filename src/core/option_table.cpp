@@ -116,9 +116,6 @@ constexpr OptionRow kRows[] = {
     TANGO_OPTION(max_memory, "--max-memory", "<bytes>", K::Integer, kAll,
                  "budget on the bytes held for backtracking, a deterministic "
                  "proxy for RSS (reason \"memory\", docs/ROBUSTNESS.md)"),
-    TANGO_OPTION(item_retries, "--item-retries", "<n>", K::Integer, kCli,
-                 "--batch: retry an item up to n times after a transient "
-                 "runtime fault"),
 };
 
 #undef TANGO_OPTION

@@ -102,10 +102,6 @@ struct Options {
   /// A pure function of the search, so it trips at the same point on every
   /// run, --deterministic included.
   std::uint64_t max_memory = 0;
-  /// Batch mode (`--item-retries`): re-run an item up to N extra times
-  /// when its analysis dies with a transient RuntimeFault. Compile errors
-  /// and budget verdicts are never retried.
-  int item_retries = 0;
   /// Worker threads for analyze_parallel (`--jobs`), 0 = one per hardware
   /// thread. 1 without `deterministic` runs the search inline on the
   /// calling thread with no publication — exactly what analyze() runs;

@@ -21,7 +21,6 @@
 #include "core/obs_record.hpp"
 #include "core/veto_note.hpp"
 #include "core/visited.hpp"
-#include "support/diagnostics.hpp"
 
 namespace tango::core {
 
@@ -742,32 +741,16 @@ std::vector<BatchItemResult> analyze_batch(const est::Spec& spec,
                                            const Options& options,
                                            const std::vector<obs::Sink*>& sinks) {
   std::vector<BatchItemResult> results(traces.size());
-  const int max_attempts = 1 + std::max(0, options.item_retries);
   const auto analyze_one = [&](std::size_t i) {
     Options item_options = options;
     item_options.sink = i < sinks.size() ? sinks[i] : nullptr;
     // Thread-local fault-injection identity: a spec like
     // "deadline@item:1" fires only inside item 1's analysis.
     FaultScope scope("item:" + std::to_string(i));
-    BatchItemResult& out = results[i];
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-      out.attempts = attempt;
-      out.error.clear();
-      try {
-        if (fault_probe(FaultSite::TraceRead)) {
-          throw RuntimeFault({}, "fault injection: trace read failed");
-        }
-        out.result = analyze(spec, traces[i], item_options);
-        return;
-      } catch (const RuntimeFault& e) {
-        out.error = e.what();  // transient: retry while the budget allows
-      } catch (const std::exception& e) {
-        out.error = e.what();  // permanent (bad trace, bad options): no retry
-        return;
-      } catch (...) {
-        out.error = "unknown exception";
-        return;
-      }
+    try {
+      results[i].result = analyze(spec, traces[i], item_options);
+    } catch (const std::exception& e) {
+      results[i].error = e.what();
     }
   };
   // Items go out in input order; the calling thread is one of the workers.

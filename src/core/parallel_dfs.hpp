@@ -48,23 +48,23 @@ namespace tango::core {
 /// analysis threw (e.g. the trace references a disabled ip); the verdict
 /// is then Inconclusive and the other fields are meaningless. A throwing
 /// or over-budget item never aborts the batch: every other entry still
-/// carries its own result. `attempts` counts analysis attempts — more
-/// than 1 when Options::item_retries re-ran the item after a transient
-/// RuntimeFault.
+/// carries its own result. The analysis is deterministic, so an item runs
+/// once: a rerun would reach the same verdict or the same error.
 struct BatchItemResult {
   DfsResult result;
   std::string error;
-  int attempts = 1;
 };
 
 /// Inter-trace parallelism for `tango analyze --batch`: schedules whole
 /// traces across options.jobs workers, each analyzed with core::analyze
 /// (one trace is one unit of work; combine with analyze_parallel by hand
 /// if a single giant trace dominates the corpus). Results are in input
-/// order regardless of completion order. `sinks`, when nonempty, must
-/// parallel `traces`: item i records its event stream into sinks[i] (null
-/// entries record nothing), overriding options.sink — a shared sink would
-/// interleave streams from concurrent items.
+/// order regardless of completion order. Each item runs once, under
+/// FaultScope "item:<i>"; a std::exception it throws becomes its `error`.
+/// `sinks`, when nonempty, must parallel `traces`: item i records its
+/// event stream into sinks[i] (null entries record nothing), overriding
+/// options.sink — a shared sink would interleave streams from concurrent
+/// items.
 [[nodiscard]] std::vector<BatchItemResult> analyze_batch(
     const est::Spec& spec, const std::vector<tr::Trace>& traces,
     const Options& options, const std::vector<obs::Sink*>& sinks = {});

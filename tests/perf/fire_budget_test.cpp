@@ -62,13 +62,14 @@ namespace {
 
 // Pinned from the measured counts with about 2% headroom (GCC 12.2,
 // libstdc++, RelWithDebInfo): 3.70 allocations per TE on LAPD, 3.31 on
-// TP0 and 2.81 for the on-line engine's run on LAPD. They were 8.34, 7.69
+// TP0 and 1.81 for the on-line engine's run on LAPD. They were 8.34, 7.69
 // and 7.44 while every veto formatted its sentence and outputs, frames and
 // firing lists had vectors of their own, and LAPD and TP0 were 15.00 and
-// 10.94 while every read copied its whole aggregate.
+// 10.94 while every read copied its whole aggregate. The on-line run was
+// 2.81 while every fired node, a handing-over one too, allocated a child.
 constexpr double kLapdBound = 3.78;
 constexpr double kTp0Bound = 3.38;
-constexpr double kMdfsLapdBound = 2.87;
+constexpr double kMdfsLapdBound = 1.85;
 
 struct Budget {
   long allocations = 0;

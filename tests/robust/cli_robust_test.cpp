@@ -158,7 +158,7 @@ TEST(CliRobust, DeterministicAppliesWithOneJob) {
 TEST(CliRobust, BatchJsonReportsPerItemVerdicts) {
   const RunResult r = run_cli(
       "analyze builtin:abp --batch " + std::string(TANGO_TRACES_DIR) +
-      " --format=json --deadline=60000 --item-retries=1");
+      " --format=json --deadline=60000");
   // The corpus mixes specs, so foreign traces are per-item errors — the
   // batch still completes and reports every file.
   EXPECT_NE(r.output.find("\"items\":["), std::string::npos) << r.output;
@@ -166,6 +166,22 @@ TEST(CliRobust, BatchJsonReportsPerItemVerdicts) {
   EXPECT_NE(r.output.find("\"verdict\":\"valid\""), std::string::npos)
       << r.output;
   EXPECT_NE(r.output.find("\"summary\":"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("\"attempts\""), std::string::npos) << r.output;
+}
+
+TEST(CliRobust, UnknownSingleDashWordIsAUsageError) {
+  const RunResult r = run_cli("analyze builtin:abp " + valid_trace() + " -v");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("unknown option '-v'"), std::string::npos)
+      << r.output;
+}
+
+TEST(CliRobust, ItemRetriesIsNoLongerAnOption) {
+  const RunResult r = run_cli("analyze builtin:abp --batch " +
+                              std::string(TANGO_TRACES_DIR) +
+                              " --item-retries=1");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("unknown option"), std::string::npos) << r.output;
 }
 
 // A malformed step field in a simulate script used to surface as a bare

@@ -28,21 +28,19 @@ TEST_F(FaultInjectorTest, DisarmedProbesNeverFire) {
   auto& fi = FaultInjector::instance();
   EXPECT_FALSE(fi.armed());
   EXPECT_FALSE(fi.should_fire(FaultSite::Alloc));
-  EXPECT_FALSE(fi.should_fire(FaultSite::TraceRead));
   EXPECT_FALSE(fi.should_fire(FaultSite::Deadline));
   // Disarmed probes bail before the counter: the hot path costs one load.
   EXPECT_EQ(fi.probes(FaultSite::Alloc), 0u);
-  EXPECT_EQ(fi.probes(FaultSite::TraceRead), 0u);
+  EXPECT_EQ(fi.probes(FaultSite::Deadline), 0u);
 }
 
 TEST_F(FaultInjectorTest, BareSiteFiresEveryProbeOfThatSiteOnly) {
   auto& fi = FaultInjector::instance();
-  fi.configure("trace-read");
+  fi.configure("deadline");
   EXPECT_TRUE(fi.armed());
-  EXPECT_TRUE(fi.should_fire(FaultSite::TraceRead));
-  EXPECT_TRUE(fi.should_fire(FaultSite::TraceRead));
+  EXPECT_TRUE(fi.should_fire(FaultSite::Deadline));
+  EXPECT_TRUE(fi.should_fire(FaultSite::Deadline));
   EXPECT_FALSE(fi.should_fire(FaultSite::Alloc));
-  EXPECT_FALSE(fi.should_fire(FaultSite::Deadline));
 }
 
 TEST_F(FaultInjectorTest, CountedEntryFiresOnlyTheNthProbe) {
@@ -83,10 +81,10 @@ TEST_F(FaultInjectorTest, ScopesNestAndRestore) {
 
 TEST_F(FaultInjectorTest, CommaListArmsSeveralEntries) {
   auto& fi = FaultInjector::instance();
-  fi.configure("alloc:1,trace-read");
+  fi.configure("alloc:1,deadline");
   EXPECT_TRUE(fi.should_fire(FaultSite::Alloc));
   EXPECT_FALSE(fi.should_fire(FaultSite::Alloc));
-  EXPECT_TRUE(fi.should_fire(FaultSite::TraceRead));
+  EXPECT_TRUE(fi.should_fire(FaultSite::Deadline));
 }
 
 TEST_F(FaultInjectorTest, ConfigureResetsCounters) {
@@ -105,10 +103,11 @@ TEST_F(FaultInjectorTest, MalformedSpecsAreRejected) {
   EXPECT_THROW(fi.configure("alloc:0"), std::invalid_argument);
   EXPECT_THROW(fi.configure("alloc:notanumber"), std::invalid_argument);
   EXPECT_THROW(fi.configure("@scope"), std::invalid_argument);
+  EXPECT_THROW(fi.configure("trace-read"), std::invalid_argument);
   // A rejected spec must not leave a half-armed injector behind.
-  fi.configure("trace-read");
+  fi.configure("deadline");
   EXPECT_THROW(fi.configure("nope"), std::invalid_argument);
-  EXPECT_TRUE(fi.should_fire(FaultSite::TraceRead));
+  EXPECT_TRUE(fi.should_fire(FaultSite::Deadline));
 }
 
 }  // namespace
