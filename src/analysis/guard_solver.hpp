@@ -81,18 +81,13 @@ struct GuardMatrix {
   /// search must lie inside its state's interval.
   std::vector<std::int64_t> inv_lo_, inv_hi_;
 
-  [[nodiscard]] bool has_state_facts() const {
-    for (char c : state_refuted_) {
-      if (c != 0) return true;
-    }
-    return false;
-  }
-  [[nodiscard]] bool has_never_out() const {
-    for (char c : never_out_) {
-      if (c != 0) return true;
-    }
-    return false;
-  }
+  /// Whether any state_refuted_ / never_out_ entry is set; computed where
+  /// those tables are filled, since generate() asks on every node.
+  bool any_state_refuted_ = false;
+  bool any_never_out_ = false;
+
+  [[nodiscard]] bool has_state_facts() const { return any_state_refuted_; }
+  [[nodiscard]] bool has_never_out() const { return any_never_out_; }
   [[nodiscard]] bool has_invariants() const { return !inv_lo_.empty(); }
   [[nodiscard]] bool state_refuted(int s, int t) const {
     return state_refuted_[static_cast<std::size_t>(s) *

@@ -575,18 +575,19 @@ void augment_guard_matrix(const Spec& spec, const StateInvariants& inv,
   gm.n_ips = inv.n_ips;
   gm.n_interactions = inv.n_interactions;
   gm.state_refuted_ = inv.refuted;
+  gm.any_state_refuted_ = false;
+  for (char c : inv.refuted) gm.any_state_refuted_ |= c != 0;
   gm.state_reachable_ = inv.reachable;
-  gm.never_out_.assign(inv.emittable.size(), 0);
-  bool any_out_site = false;
-  for (std::size_t i = 0; i < inv.emittable.size(); ++i) {
-    gm.never_out_[i] = inv.emittable[i] != 0 ? 0 : 1;
-    any_out_site = any_out_site || inv.emittable[i] != 0;
-  }
   // A trace's out events were validated against the spec's channel
   // declarations, not against reachable code — never_out entries are
   // meaningful even when no code outputs anything (every pending out event
   // is then doomed). Keep them all.
-  (void)any_out_site;
+  gm.never_out_.assign(inv.emittable.size(), 0);
+  gm.any_never_out_ = false;
+  for (std::size_t i = 0; i < inv.emittable.size(); ++i) {
+    gm.never_out_[i] = inv.emittable[i] != 0 ? 0 : 1;
+    gm.any_never_out_ |= inv.emittable[i] == 0;
+  }
   (void)spec;
   gm.inv_lo_.assign(inv.bounds.size(), 1);
   gm.inv_hi_.assign(inv.bounds.size(), 0);

@@ -24,6 +24,7 @@
 // <spec> is a file path or `builtin:<name>` (see `tango specs`).
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -211,7 +212,7 @@ simulate script lines:  <step> <ip>.<msg>(<params>)   (and # comments)
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) throw CompileError({}, "cannot open '" + path + "'");
+  if (!in) throw UsageError("cannot open '" + path + "'");
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
@@ -221,7 +222,7 @@ std::string load_spec_text(const std::string& arg) {
   if (starts_with(arg, "builtin:")) {
     std::string_view text = specs::builtin_spec(arg.substr(8));
     if (text.empty()) {
-      throw CompileError({}, "unknown built-in spec '" + arg.substr(8) + "'");
+      throw UsageError("unknown built-in spec '" + arg.substr(8) + "'");
     }
     return std::string(text);
   }
@@ -281,8 +282,17 @@ std::size_t edit_distance(const std::string& a, const std::string& b) {
   return row[b.size()];
 }
 
+/// True if `a` and `b` have a letter in common.
+bool share_a_letter(std::string_view a, std::string_view b) {
+  return std::any_of(a.begin(), a.end(), [&](char c) {
+    return std::isalpha(static_cast<unsigned char>(c)) != 0 &&
+           b.find(c) != std::string_view::npos;
+  });
+}
+
 /// A typo'd flag ("--no-static-prun", "--invariant-prune") dies with the
-/// nearest real flag named instead of a bare "unknown option".
+/// nearest real flag named instead of a bare "unknown option"; a flag
+/// sharing no letter with the typo is never named ("-v" is not "-o").
 /// `candidates` are the other flags parse_cli tried, "=" marking a value.
 [[noreturn]] void unknown_option(const std::string& a,
                                  std::vector<std::string> candidates) {
@@ -298,6 +308,7 @@ std::size_t edit_distance(const std::string& a, const std::string& b) {
   for (const std::string& f : candidates) {
     std::string candidate = f;
     if (!candidate.empty() && candidate.back() == '=') candidate.pop_back();
+    if (!share_a_letter(name, candidate)) continue;
     const std::size_t d = edit_distance(name, candidate);
     if (d < best_d) {
       best_d = d;
@@ -309,7 +320,7 @@ std::size_t edit_distance(const std::string& a, const std::string& b) {
   if (best_d <= std::max<std::size_t>(2, name.size() / 4)) {
     msg += " (did you mean '" + best + "'?)";
   }
-  throw CompileError({}, msg);
+  throw UsageError(msg);
 }
 
 Cli parse_cli(int argc, char** argv, int first) {
@@ -328,7 +339,7 @@ Cli parse_cli(int argc, char** argv, int first) {
                           bool spaced = false) {
       tried.push_back(spaced ? name : name + "=");
       if (spaced && a == name) {
-        if (i + 1 >= argc) throw CompileError({}, name + " needs a value");
+        if (i + 1 >= argc) throw UsageError(name + " needs a value");
         out = argv[++i];
         return true;
       }
@@ -370,8 +381,8 @@ Cli parse_cli(int argc, char** argv, int first) {
     if (text("--format", cli.format)) {
       if (cli.format != "text" && cli.format != "json" &&
           cli.format != "sarif") {
-        throw CompileError({}, "bad --format value '" + cli.format +
-                                   "' (expected text, json or sarif)");
+        throw UsageError("bad --format value '" + cli.format +
+                             "' (expected text, json or sarif)");
       }
       continue;
     }
@@ -530,9 +541,9 @@ int cmd_analyze(const Cli& cli) {
   // --visited-max bounds the --hash-states table; without the table it
   // would be a silent no-op, which has bitten users expecting a memory cap.
   if (cli.options.visited_max != 0 && !cli.options.hash_states) {
-    throw CompileError({}, "--visited-max has no effect without "
-                           "--hash-states (add --hash-states, or drop "
-                           "--visited-max)");
+    throw UsageError("--visited-max has no effect without "
+                     "--hash-states (add --hash-states, or drop "
+                     "--visited-max)");
   }
   if (!cli.batch_dir.empty()) return cmd_analyze_batch(cli);
   if (cli.positional.size() < 2) return usage();
@@ -723,7 +734,7 @@ int cmd_workload(const Cli& cli) {
                         : sim::tp0_trace(spec, cli.size, cli.size, true,
                                          cli.seed);
   } else {
-    throw CompileError({}, "workload must be 'lapd' or 'tp0'");
+    throw UsageError("workload must be 'lapd' or 'tp0'");
   }
   if (cli.invalid) trace = sim::mutate_last_output_param(trace);
   const std::string text = tr::to_text(spec, trace);
@@ -1019,8 +1030,8 @@ std::pair<std::string, std::uint16_t> parse_host_port(const std::string& s,
                                                       const char* flag) {
   const std::size_t colon = s.rfind(':');
   if (colon == std::string::npos) {
-    throw CompileError({}, std::string(flag) + " expects <host:port>, got '" +
-                               s + "'");
+    throw UsageError(std::string(flag) + " expects <host:port>, got '" +
+                         s + "'");
   }
   const std::uint16_t port = static_cast<std::uint16_t>(
       parse_flag_u64(flag, s.substr(colon + 1), 65535));
@@ -1082,10 +1093,10 @@ int cmd_serve(const Cli& cli) {
 int cmd_submit(const Cli& cli) {
   if (cli.positional.empty()) return usage();
   if (cli.connect.empty()) {
-    throw CompileError({}, "submit needs --connect=<host:port>");
+    throw UsageError("submit needs --connect=<host:port>");
   }
   if (cli.spec_ref.empty()) {
-    throw CompileError({}, "submit needs --spec=<ref> (e.g. builtin:abp)");
+    throw UsageError("submit needs --spec=<ref> (e.g. builtin:abp)");
   }
   srv::SubmitOptions so;
   const auto [host, port] = parse_host_port(cli.connect, "--connect");

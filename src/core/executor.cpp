@@ -132,8 +132,8 @@ ApplyResult apply_firing(rt::Interp& interp, const tr::Trace& trace,
   TraceMatcher matcher(interp.spec(), trace, ro, st, ro.base->partial, ckpt,
                        note);
   try {
-    if (!interp.fire(st.machine, tr, firing.binding, matcher,
-                     ckpt != nullptr ? ckpt->trail() : nullptr)) {
+    if (!interp.fire(st.machine, tr, when_args(firing, trace, ro, tr),
+                     matcher, ckpt != nullptr ? ckpt->trail() : nullptr)) {
       return {false, matcher.retry_later()};
     }
   } catch (const RuntimeFault& fault) {

@@ -40,6 +40,19 @@ bool invariants_hold(const analysis::GuardMatrix& gm, const SearchState& st) {
 
 }  // namespace
 
+std::span<const rt::Value> when_args(const Firing& firing,
+                                     const tr::Trace& trace,
+                                     const ResolvedOptions& ro,
+                                     const est::Transition& tr) {
+  if (firing.input_event >= 0) {
+    return trace.event(static_cast<std::uint32_t>(firing.input_event)).params;
+  }
+  if (firing.synthesized) {
+    return ro.undefined_params(tr.when->param_types.size());
+  }
+  return {};
+}
+
 GenResult generate(rt::Interp& interp, const tr::Trace& trace,
                    const ResolvedOptions& ro, SearchState& st, Stats& stats,
                    const ObsCtx& obs, std::vector<Firing> storage) {
@@ -134,6 +147,7 @@ GenResult generate(rt::Interp& interp, const tr::Trace& trace,
 
     Firing firing;
     firing.transition = ti;
+    std::span<const rt::Value> args;  // the when-parameters, if any
 
     if (tr.when) {
       const int ip = tr.when->ip_index;
@@ -145,7 +159,7 @@ GenResult generate(rt::Interp& interp, const tr::Trace& trace,
         // §5.2: the when clause is assumed satisfiable; a fresh interaction
         // with undefined parameters is synthesized.
         firing.synthesized = true;
-        firing.binding.assign(tr.when->param_types.size(), rt::Value{});
+        args = ro.undefined_params(tr.when->param_types.size());
       } else if (ro.is_disabled(ip)) {
         continue;  // §3.2.1: never offered, never marks the node PG
       } else {
@@ -172,13 +186,13 @@ GenResult generate(rt::Interp& interp, const tr::Trace& trace,
           continue;
         }
         firing.input_event = static_cast<int>(seq);
-        firing.binding = ev.params;
+        args = ev.params;
       }
     }
 
     bool holds = false;
     try {
-      holds = interp.provided_holds(st.machine, tr, firing.binding);
+      holds = interp.provided_holds(st.machine, tr, args);
     } catch (const RuntimeFault& fault) {
       // A faulting provided clause cannot be satisfied on this path; note
       // the first fault for diagnostics and treat the transition as not

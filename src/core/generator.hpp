@@ -9,6 +9,7 @@
 // fireable later.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,11 +20,14 @@
 
 namespace tango::core {
 
+/// A candidate transition. It holds no when-parameter values: those are
+/// the input event's, looked up by seq when the firing is applied
+/// (when_args), since the on-line engine appends events to the trace
+/// between generating a firing and applying it.
 struct Firing {
   int transition = -1;    // index into spec.body().transitions
   int input_event = -1;   // global seq consumed by the when clause, or -1
-  std::vector<rt::Value> binding;  // when-parameter values
-  bool synthesized = false;        // unobservable-ip input (partial mode)
+  bool synthesized = false;  // unobservable-ip input (partial mode)
 };
 
 struct GenResult {
@@ -31,6 +35,14 @@ struct GenResult {
   bool incomplete = false;  // PG: more firings may appear with new input
   std::string fault;        // first provided-clause fault, if any (path note)
 };
+
+/// The when-parameters `firing` binds, looked up now: its input event's
+/// parameters, undefined ones for a synthesized input, none for a
+/// spontaneous transition. Valid until the trace grows.
+[[nodiscard]] std::span<const rt::Value> when_args(const Firing& firing,
+                                                  const tr::Trace& trace,
+                                                  const ResolvedOptions& ro,
+                                                  const est::Transition& tr);
 
 /// Enumerates fireable transitions in declaration order, then keeps only
 /// the highest-priority group (smallest priority value; transitions without

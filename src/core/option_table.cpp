@@ -216,8 +216,8 @@ bool parse_cli_option(std::string_view arg, Options& out) {
   if (row == std::end(kRows)) return false;
   const bool is_flag = row->kind == K::Bool || row->kind == K::NegatedBool;
   if (is_flag != (eq == std::string_view::npos)) {
-    throw CompileError({}, name + (is_flag ? " takes no value" : " needs =" +
-                                                 std::string(row->arg)));
+    throw UsageError(name + (is_flag ? " takes no value" : " needs =" +
+                                           std::string(row->arg)));
   }
   const std::string_view value = is_flag ? "" : arg.substr(eq + 1);
   if (row->kind == K::IpList) {
@@ -230,8 +230,8 @@ bool parse_cli_option(std::string_view arg, Options& out) {
   } else if (!is_flag) {
     n = choice_index(*row, value);
     if (n == kNoChoice) {
-      throw CompileError({}, "bad " + name + " value '" + std::string(value) +
-                                 "' (expected " + std::string(row->arg) + ")");
+      throw UsageError("bad " + name + " value '" + std::string(value) +
+                           "' (expected " + std::string(row->arg) + ")");
     }
   }
   row->set(out, n);

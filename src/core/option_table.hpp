@@ -48,7 +48,7 @@ struct OptionRow {
 [[nodiscard]] std::span<const OptionRow> option_rows();
 
 /// Applies one CLI argument ("--max-depth=5") when it spells a Cli row,
-/// else returns false. Throws CompileError on a bad or missing value.
+/// else returns false. Throws UsageError on a bad or missing value.
 bool parse_cli_option(std::string_view arg, Options& out);
 
 /// The rows on `surface` as a JSON object with sorted keys. The header

@@ -1,5 +1,7 @@
 #include "core/options.hpp"
 
+#include <algorithm>
+
 #include "analysis/invariants.hpp"
 
 namespace tango::core {
@@ -51,6 +53,11 @@ ResolvedOptions::ResolvedOptions(const est::Spec& spec, const Options& opts)
     }
     unobservable[static_cast<std::size_t>(ip)] = 1;
   }
+  std::size_t longest = 0;
+  for (const est::Transition& tr : spec.body().transitions) {
+    if (tr.when) longest = std::max(longest, tr.when->param_types.size());
+  }
+  undefined_params_.resize(longest);
 }
 
 void ResolvedOptions::build_guard_matrix(const est::Spec& spec,

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include <memory>
+#include <span>
 
 #include "analysis/guard_solver.hpp"
 #include "estelle/spec.hpp"
@@ -205,8 +206,18 @@ struct ResolvedOptions {
   [[nodiscard]] bool is_unobservable(int ip) const {
     return unobservable[static_cast<std::size_t>(ip)] != 0;
   }
+  /// `n` undefined values, the when-parameters of a synthesized input
+  /// (§5.2); `n` is at most the longest when-parameter list of the spec.
+  [[nodiscard]] std::span<const rt::Value> undefined_params(
+      std::size_t n) const {
+    return std::span<const rt::Value>(undefined_params_).first(n);
+  }
 
  private:
+  /// One shared run of undefined values, as long as the spec's longest
+  /// when-parameter list.
+  std::vector<rt::Value> undefined_params_;
+
   /// Runs the guard solver (plus the invariant fixpoint when its facts are
   /// admissible) and installs the matrix; the constructor skips this when
   /// Options carries a prebuilt matrix.

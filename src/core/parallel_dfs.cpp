@@ -92,13 +92,9 @@ struct NodeFrame {
   int chosen = -1;              // transition taken to descend; -1 none
 };
 
-/// Bytes a firing list holds: the firings and their when-parameters.
+/// Bytes a firing list holds.
 std::uint64_t firing_bytes(const std::vector<Firing>& firings) {
-  std::uint64_t bytes = firings.size() * sizeof(Firing);
-  for (const Firing& f : firings) {
-    bytes += f.binding.size() * sizeof(rt::Value);
-  }
-  return bytes;
+  return firings.size() * sizeof(Firing);
 }
 
 /// The §2.2 backtracking search: one task loop (explore) under the three

@@ -30,21 +30,21 @@ rt::Value random_value(const est::Type* type, std::mt19937& rng,
     case est::TypeKind::Subrange:
       return rt::Value::make_int(uniform(rng, type->lo, type->hi));
     case est::TypeKind::Array: {
-      std::vector<rt::Value> elems;
-      const std::int64_t n = type->hi - type->lo + 1;
-      elems.reserve(static_cast<std::size_t>(n));
-      for (std::int64_t i = 0; i < n; ++i) {
-        elems.push_back(random_value(type->element, rng, config));
+      rt::Value out = rt::Value::make_aggregate(
+          rt::Value::Kind::Array,
+          static_cast<std::size_t>(type->hi - type->lo + 1));
+      for (rt::Value& e : out.elems()) {
+        e = random_value(type->element, rng, config);
       }
-      return rt::Value::make_array(std::move(elems));
+      return out;
     }
     case est::TypeKind::Record: {
-      std::vector<rt::Value> fields;
-      fields.reserve(type->fields.size());
-      for (const est::RecordField& f : type->fields) {
-        fields.push_back(random_value(f.type, rng, config));
+      rt::Value out = rt::Value::make_aggregate(rt::Value::Kind::Record,
+                                                type->fields.size());
+      for (std::size_t i = 0; i < type->fields.size(); ++i) {
+        out.elems()[i] = random_value(type->fields[i].type, rng, config);
       }
-      return rt::Value::make_record(std::move(fields));
+      return out;
     }
     case est::TypeKind::Pointer:
       return rt::Value::nil();

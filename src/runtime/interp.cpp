@@ -1,6 +1,7 @@
 #include "runtime/interp.hpp"
 
 #include <span>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 
@@ -27,6 +28,15 @@ struct PathAbort {};
 /// What Exec::place resolves to: a location to write, or storage to read.
 template <bool Write>
 using PlacePtr = std::conditional_t<Write, Value*, const Value*>;
+
+/// Element `i` of an aggregate's elements, bounds-checked.
+template <class V>
+V* element(std::span<V> elems, std::int64_t i) {
+  if (i < 0 || static_cast<std::size_t>(i) >= elems.size()) {
+    throw std::out_of_range("element index outside the aggregate");
+  }
+  return &elems[static_cast<std::size_t>(i)];
+}
 
 /// True if evaluating `e` may call a user routine, which can reassign any
 /// variable or dispose any cell.
@@ -66,7 +76,8 @@ class Frame {
     return s.ref != nullptr ? *s.ref : s.v;
   }
 
-  const std::vector<Value>* when_params = nullptr;
+  /// The firing's when-parameters; null outside a transition.
+  const std::span<const Value>* when_params = nullptr;
 
  private:
   static std::vector<detail::FrameSlot>& buffer(detail::ExecStorage& st) {
@@ -291,7 +302,7 @@ class Exec {
           }
           throw RuntimeFault(e.loc, "field access on undefined record");
         }
-        return &base->elems().at(static_cast<std::size_t>(e.field_index));
+        return element(base->elems(), e.field_index);
       }
       case ExprKind::Index: {
         const Expr& base_expr = *e.children[0];
@@ -332,7 +343,7 @@ class Exec {
           }
           throw RuntimeFault(e.loc, "indexing an undefined array");
         }
-        return &base->elems().at(static_cast<std::size_t>(ix - at->lo));
+        return element(base->elems(), ix - at->lo);
       }
       case ExprKind::Deref: {
         if constexpr (Write) check_writable(e.loc, "dynamic memory");
@@ -695,7 +706,7 @@ bool Interp::run_initializer(MachineState& m, const est::Initializer& init,
 }
 
 bool Interp::fire(MachineState& m, const est::Transition& tr,
-                  const std::vector<Value>& when_args, OutputSink& sink,
+                  std::span<const Value> when_args, OutputSink& sink,
                   Trail* trail) {
   Exec exec(spec_, m, mode_, limits_, storage_, &sink, /*read_only=*/false,
             trail);
@@ -715,7 +726,7 @@ bool Interp::fire(MachineState& m, const est::Transition& tr,
 }
 
 bool Interp::provided_holds(MachineState& m, const est::Transition& tr,
-                            const std::vector<Value>& when_args) {
+                            std::span<const Value> when_args) {
   if (!tr.provided) return true;
   Exec exec(spec_, m, mode_, limits_, storage_, nullptr, /*read_only=*/true);
   Frame f(storage_, tr.frame_size);

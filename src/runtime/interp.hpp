@@ -101,14 +101,14 @@ class Interp {
   /// the caller (deep-copy restore, or Trail::undo_to when a trail was
   /// passed).
   bool fire(MachineState& m, const est::Transition& tr,
-            const std::vector<Value>& when_args, OutputSink& sink,
+            std::span<const Value> when_args, OutputSink& sink,
             Trail* trail = nullptr);
 
   /// Evaluates a transition's provided clause read-only (writes to module
   /// variables or the heap fault). Missing clause means true; an undefined
   /// result is true in partial mode (paper §5.1) and faults in strict mode.
   bool provided_holds(MachineState& m, const est::Transition& tr,
-                      const std::vector<Value>& when_args);
+                      std::span<const Value> when_args);
   bool provided_holds(MachineState& m, const est::Initializer& init);
 
   [[nodiscard]] const est::Spec& spec() const { return spec_; }

@@ -60,6 +60,13 @@ class CompileError : public std::runtime_error {
   SourceLoc loc_;
 };
 
+/// Thrown for a malformed command line or flag value. It has no source
+/// position: the message is what the user typed and what was expected.
+class UsageError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Thrown for faults while executing specification code (e.g. use of an
 /// undefined value in strict mode, nil dereference, out-of-range index).
 class RuntimeFault : public std::runtime_error {

@@ -58,18 +58,18 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 std::uint64_t parse_flag_u64(std::string_view flag, std::string_view text,
                              std::uint64_t max_value) {
   const std::string name(flag);
-  if (text.empty()) throw CompileError({}, name + " needs a number");
+  if (text.empty()) throw UsageError(name + " needs a number");
   std::uint64_t value = 0;
   for (const char c : text) {
     if (c < '0' || c > '9') {
-      throw CompileError({}, "bad " + name + " value '" + std::string(text) +
-                                 "' (expected a non-negative integer)");
+      throw UsageError("bad " + name + " value '" + std::string(text) +
+                           "' (expected a non-negative integer)");
     }
     const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
     if (value > (max_value - digit) / 10) {
-      throw CompileError({}, name + " value '" + std::string(text) +
-                                 "' is out of range (max " +
-                                 std::to_string(max_value) + ")");
+      throw UsageError(name + " value '" + std::string(text) +
+                           "' is out of range (max " +
+                           std::to_string(max_value) + ")");
     }
     value = value * 10 + digit;
   }

@@ -27,7 +27,7 @@ namespace tango {
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
 
 /// A flag's value as decimal digits up to `max_value`; anything else
-/// ("abc", "-1", overflow) is a CompileError naming the flag.
+/// ("abc", "-1", overflow) is a UsageError naming the flag.
 [[nodiscard]] std::uint64_t parse_flag_u64(
     std::string_view flag, std::string_view text,
     std::uint64_t max_value = std::numeric_limits<std::uint64_t>::max());

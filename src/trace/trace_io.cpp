@@ -144,14 +144,15 @@ class EventParser {
         expect(rec ? Tok::LParen : Tok::LBracket);
         const auto n = rec ? t->fields.size()
                            : static_cast<std::size_t>(t->hi - t->lo + 1);
-        std::vector<rt::Value> elems;
+        rt::Value out = rt::Value::make_aggregate(
+            rec ? rt::Value::Kind::Record : rt::Value::Kind::Array, n);
+        const std::span<rt::Value> elems = out.elems();
         for (std::size_t i = 0; i < n; ++i) {
           if (i != 0) expect(Tok::Comma);
-          elems.push_back(value(rec ? t->fields[i].type : t->element));
+          elems[i] = value(rec ? t->fields[i].type : t->element);
         }
         expect(rec ? Tok::RParen : Tok::RBracket);
-        return rec ? rt::Value::make_record(std::move(elems))
-                   : rt::Value::make_array(std::move(elems));
+        return out;
       }
       case TypeKind::Pointer:
         fail(sc_.loc(), "pointer values cannot appear in traces");

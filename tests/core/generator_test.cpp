@@ -85,7 +85,11 @@ TEST(Generator, ProvidedGuardsEvaluateAgainstBinding) {
   tr::Trace pos = tr::parse_trace(f.spec, "in q.d(3)\n");
   GenResult g = f.gen(pos, Options::none());
   ASSERT_EQ(g.firings.size(), 1u);
-  EXPECT_EQ(g.firings[0].binding[0].scalar(), 3);
+  ASSERT_EQ(g.firings[0].input_event, 0);
+  EXPECT_EQ(pos.event(static_cast<std::uint32_t>(g.firings[0].input_event))
+                .params[0]
+                .scalar(),
+            3);
 
   tr::Trace neg = tr::parse_trace(f.spec, "in q.d(-3)\n");
   GenResult g2 = f.gen(neg, Options::none());
@@ -144,8 +148,13 @@ TEST(Generator, UnobservableIpSynthesizesUndefinedBinding) {
   // assumed true, paper §5.1-5.2).
   ASSERT_EQ(g.firings.size(), 1u);
   EXPECT_TRUE(g.firings[0].synthesized);
-  ASSERT_EQ(g.firings[0].binding.size(), 1u);
-  EXPECT_TRUE(g.firings[0].binding[0].is_undefined());
+  EXPECT_EQ(g.firings[0].input_event, -1);
+  const std::span<const rt::Value> args = when_args(
+      g.firings[0], t, ro,
+      f.spec.body().transitions[static_cast<std::size_t>(
+          g.firings[0].transition)]);
+  ASSERT_EQ(args.size(), 1u);
+  EXPECT_TRUE(args[0].is_undefined());
 }
 
 TEST(Generator, PriorityKeepsOnlyBestGroup) {

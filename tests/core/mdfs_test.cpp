@@ -9,6 +9,7 @@
 
 #include <functional>
 
+#include "sim/mutate.hpp"
 #include "sim/workloads.hpp"
 #include "specs/builtin_specs.hpp"
 
@@ -211,6 +212,58 @@ TEST(Mdfs, PiecemealArrivalMatchesBatchVerdict) {
   }
   o.feed.push_eof();
   EXPECT_EQ(o.pump(), OnlineStatus::Valid);
+}
+
+TEST(Mdfs, FiringsGeneratedBeforeTheTraceGrowsApplyAfterIt) {
+  // Each put has two readings, found out only at the next echo, so every
+  // put node keeps an untaken firing while its first child parks. With a
+  // poll before every step and one event fed per step, that firing is
+  // applied after polls have appended events to (and reallocated) the
+  // trace's event store: its record parameter must be read from the
+  // event as it is then, not through anything taken at generation.
+  const char* spec = R"(
+specification s;
+channel CH(A, B); by A: put(p: Pt); ask; by B: echo(v: integer);
+module M systemprocess; ip P: CH(B); end;
+body MB for M;
+  type Pt = record x, y: integer; end;
+  var last: integer;
+  state z;
+  initialize to z begin last := 0; end;
+  trans
+    from z to z when P.put name keep_x: begin last := p.x; end;
+    from z to z when P.put name keep_y: begin last := p.y; end;
+    from z to z when P.ask name tell: begin output P.echo(last); end;
+end;
+end.
+)";
+  std::string text;
+  for (int i = 1; i <= 24; ++i) {
+    text += "in p.put((" + std::to_string(i) + ", " + std::to_string(-i) +
+            "))\nin p.ask\nout p.echo(" + std::to_string(i % 3 == 0 ? -i : i) +
+            ")\n";
+  }
+  for (const bool valid : {true, false}) {
+    const est::Spec s = est::compile_spec(spec);
+    tr::Trace trace = tr::parse_trace(s, text);
+    if (!valid) trace = sim::mutate_last_output_param(trace);
+    const DfsResult batch = analyze(s, trace, Options::full());
+
+    tr::MemoryFeed feed(s);
+    OnlineConfig config;
+    config.options = Options::full();
+    config.poll_every = 1;
+    OnlineAnalyzer analyzer(s, feed, config);
+    for (const tr::TraceEvent& e : trace.events()) {
+      feed.push(e);
+      (void)analyzer.step_round(1);
+    }
+    feed.push_eof();
+    const OnlineStatus online = analyzer.run();
+    EXPECT_EQ(batch.verdict, valid ? Verdict::Valid : Verdict::Invalid);
+    EXPECT_EQ(online, valid ? OnlineStatus::Valid : OnlineStatus::Invalid);
+    EXPECT_GT(analyzer.stats().restores, 0u);
+  }
 }
 
 TEST(Mdfs, RunLoopTerminatesOnIdleSource) {

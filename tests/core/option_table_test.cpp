@@ -169,9 +169,9 @@ TEST(OptionTable, OrderPresetTouchesOnlyTheOrderChecks) {
 
 TEST(OptionTable, BadValuesAreRejectedOnEverySurface) {
   Options o;
-  EXPECT_THROW(parse_cli_option("--max-depth=-1", o), CompileError);
-  EXPECT_THROW(parse_cli_option("--partial=yes", o), CompileError);
-  EXPECT_THROW(parse_cli_option("--order", o), CompileError);
+  EXPECT_THROW(parse_cli_option("--max-depth=-1", o), UsageError);
+  EXPECT_THROW(parse_cli_option("--partial=yes", o), UsageError);
+  EXPECT_THROW(parse_cli_option("--order", o), UsageError);
   EXPECT_FALSE(parse_cli_option("--prune-on-pgav", o));  // header only
   EXPECT_FALSE(parse_cli_option("--checkpoint=copy", o));  // header only
   for (const char* bad :

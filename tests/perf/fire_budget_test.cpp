@@ -4,9 +4,10 @@
 // stay at or below pinned bounds. Reading a variable must not copy its
 // aggregate, a vetoed output must not build an exception or a sentence
 // nobody keeps, an output's parameters and a call's frame must not get
-// vectors of their own, and generate must reuse spent firing lists, so a
-// change that brings back a per-fire allocation fails here
-// deterministically, where a timing would only drift.
+// vectors of their own, generate must reuse spent firing lists and a
+// candidate must not copy its input event's parameters, so a change that
+// brings back a per-fire allocation fails here deterministically, where a
+// timing would only drift.
 //
 // Label `perf`: outside the sanitizer jobs, whose runtimes allocate on
 // their own account.
@@ -61,15 +62,17 @@ namespace tango::core {
 namespace {
 
 // Pinned from the measured counts with about 2% headroom (GCC 12.2,
-// libstdc++, RelWithDebInfo): 3.70 allocations per TE on LAPD, 3.31 on
-// TP0 and 1.81 for the on-line engine's run on LAPD. They were 8.34, 7.69
-// and 7.44 while every veto formatted its sentence and outputs, frames and
-// firing lists had vectors of their own, and LAPD and TP0 were 15.00 and
-// 10.94 while every read copied its whole aggregate. The on-line run was
-// 2.81 while every fired node, a handing-over one too, allocated a child.
-constexpr double kLapdBound = 3.78;
-constexpr double kTp0Bound = 3.38;
-constexpr double kMdfsLapdBound = 1.85;
+// libstdc++, RelWithDebInfo): 2.71 allocations per TE on LAPD, 3.00 on
+// TP0 and 0.81 for the on-line engine's run on LAPD. They were 3.70, 3.31
+// and 1.81 while every when-candidate copied its input event's parameters
+// into a binding of its own, 8.34, 7.69 and 7.44 while every veto
+// formatted its sentence and outputs, frames and firing lists had vectors
+// of their own, and LAPD and TP0 were 15.00 and 10.94 while every read
+// copied its whole aggregate. The on-line run was 2.81 while every fired
+// node, a handing-over one too, allocated a child.
+constexpr double kLapdBound = 2.77;
+constexpr double kTp0Bound = 3.07;
+constexpr double kMdfsLapdBound = 0.83;
 
 struct Budget {
   long allocations = 0;

@@ -176,6 +176,24 @@ TEST(CliRobust, UnknownSingleDashWordIsAUsageError) {
       << r.output;
 }
 
+// Usage errors have no source position to print, and a suggestion must
+// share a letter with the typo: "-v" once printed
+// "tango: ?: unknown option '-v' (did you mean '-o'?)".
+TEST(CliRobust, UsageErrorsPrintNoLocationNorAnUnrelatedSuggestion) {
+  const RunResult r = run_cli("analyze builtin:abp " + valid_trace() + " -v");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_EQ(r.output, "tango: unknown option '-v'\n");
+  for (const char* args :
+       {"analyze builtin:abp none.tr --max-depth=-5",
+        "analyze builtin:abp none.tr --order", "analyze builtin:nosuch x.tr",
+        "workload sideways", "submit x.tr"}) {
+    const RunResult u = run_cli(args);
+    EXPECT_EQ(u.exit_code, 2) << args << ": " << u.output;
+    EXPECT_EQ(u.output.find("?:"), std::string::npos) << args << ": "
+                                                      << u.output;
+  }
+}
+
 TEST(CliRobust, ItemRetriesIsNoLongerAnOption) {
   const RunResult r = run_cli("analyze builtin:abp --batch " +
                               std::string(TANGO_TRACES_DIR) +

@@ -45,7 +45,7 @@ TEST(Heap, CopyIsDeep) {
   Heap h;
   const std::uint32_t a = h.allocate(Value::make_int(1));
   Heap copy = h;  // save (§2.3: dynamic memory is part of the TAM state)
-  h.cell(a)->elems();  // no-op touch
+  (void)h.cell(a)->elems();  // no-op touch
   *h.cell(a) = Value::make_int(99);
   EXPECT_EQ(copy.cell(a)->scalar(), 1);  // restore point unaffected
 }
