@@ -1,33 +1,22 @@
-// Estelle-to-C++ code generator (the Dingo heritage): translates a
-// compiled specification into a standalone C++ translation unit that,
-// together with tam_runtime.hpp, builds into a batch-mode trace analyzer
-// for that protocol — the "tool generator" half of Tango.
-//
-// Scope: static (batch) analysis in strict mode. Interaction parameters
-// must be scalars (integer/boolean/char/enum); record- or array-valued
-// parameters are rejected with a diagnostic. Undefined-use and subrange
-// checks of the interpreter are elided in generated code (module variables
-// start zero-initialized), matching what a Dingo-produced implementation
-// would do.
+// `tango generate-cpp`: the "tool generator" half of Tango. For one
+// specification it emits a C++ translation unit whose main embeds the
+// specification's source text and runs the core engines on it through
+// cli::analyzer_main. Linked with tango_cli, the unit builds into a trace
+// analyzer for that protocol alone, with the command line and output of
+// `tango analyze` and `tango online`. Transitions are interpreted, not
+// compiled (DESIGN.md, deviations).
 #pragma once
 
 #include <string>
-
-#include "estelle/spec.hpp"
+#include <string_view>
 
 namespace tango::codegen {
 
-struct GenOptions {
-  /// Include directive used for the runtime header.
-  std::string runtime_header = "tam_runtime.hpp";
-  /// Emit a main() wrapping tam::run_cli (on by default: a generated file
-  /// is a complete command-line tool).
-  bool emit_main = true;
-};
-
-/// Generates the C++ source for `spec`. Throws CompileError when the
-/// specification uses a feature outside the generator's scope.
-[[nodiscard]] std::string generate_cpp(const est::Spec& spec,
-                                       const GenOptions& options = {});
+/// The analyzer's translation unit for the specification text
+/// `spec_text`, known by `spec_ref` (the path or `builtin:<name>` it was
+/// loaded from; event streams record it for replay). Both are embedded
+/// byte for byte. The caller checks the specification first.
+[[nodiscard]] std::string generate_cpp(std::string_view spec_ref,
+                                       std::string_view spec_text);
 
 }  // namespace tango::codegen

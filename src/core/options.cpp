@@ -40,16 +40,15 @@ ResolvedOptions::ResolvedOptions(const est::Spec& spec, const Options& opts)
   for (const std::string& name : opts.disabled_ips) {
     const int ip = spec.ip_index(name);
     if (ip < 0) {
-      throw CompileError({}, "disable-ip option names unknown ip '" + name +
-                                 "'");
+      throw UsageError("disable-ip option names unknown ip '" + name + "'");
     }
     disabled[static_cast<std::size_t>(ip)] = 1;
   }
   for (const std::string& name : opts.unobservable_ips) {
     const int ip = spec.ip_index(name);
     if (ip < 0) {
-      throw CompileError({}, "unobservable-ip option names unknown ip '" +
-                                 name + "'");
+      throw UsageError("unobservable-ip option names unknown ip '" + name +
+                       "'");
     }
     unobservable[static_cast<std::size_t>(ip)] = 1;
   }

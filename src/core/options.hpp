@@ -184,7 +184,7 @@ struct Options {
 };
 
 /// Per-analysis view of the options with ip names resolved to indexes.
-/// Throws CompileError when an option names an unknown ip.
+/// Throws UsageError when an option names an unknown ip.
 struct ResolvedOptions {
   ResolvedOptions(const est::Spec& spec, const Options& opts);
   /// `base` aliases `opts`, which must outlive this view — a temporary

@@ -70,13 +70,14 @@ void Server::accept_loop() {
       cv_.notify_one();
     } else {
       // Backpressure: a structured reply, not a silent RST — the client
-      // can tell "busy" from "broken" and retry with a delay.
+      // can tell "busy" from "broken" and retry with a delay. Counted
+      // first, so a client that saw the reply also sees the count.
+      rejected_.fetch_add(1, std::memory_order_acq_rel);
       Frame f;
       f.type = FrameType::Overloaded;
       f.message = "session queue full; retry later";
       (void)send_all(fd, encode_frame(f));
       ::close(fd);
-      rejected_.fetch_add(1, std::memory_order_acq_rel);
     }
   }
 }
@@ -126,6 +127,11 @@ void Server::shutdown() {
 bool Server::finished() const {
   return config_.max_sessions != 0 &&
          completed_.load(std::memory_order_acquire) >= config_.max_sessions;
+}
+
+std::size_t Server::queue_depth() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return queue_.size();
 }
 
 }  // namespace tango::srv

@@ -70,6 +70,8 @@ class Server {
   [[nodiscard]] std::uint64_t sessions_rejected() const {
     return rejected_.load();
   }
+  /// Accepted connections waiting for a worker.
+  [[nodiscard]] std::size_t queue_depth() const;
 
  private:
   void accept_loop();
@@ -84,7 +86,7 @@ class Server {
   std::thread accept_thread_;
   std::vector<std::thread> workers_;
 
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<int> queue_;  // accepted fds awaiting a worker
 

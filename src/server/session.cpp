@@ -296,6 +296,8 @@ void run_session(int fd, const SessionContext& ctx) {
     send_error(c, e.what());
   } catch (const CompileError& e) {
     send_error(c, std::string("analysis error: ") + e.what());
+  } catch (const UsageError& e) {
+    send_error(c, std::string("analysis error: ") + e.what());
   } catch (const std::exception& e) {
     send_error(c, std::string("internal error: ") + e.what());
   }

@@ -1,140 +1,62 @@
-// C++ generator tests: structural checks on the emitted source. (The
-// generated code is also COMPILED and EXECUTED as part of the build: see
-// examples/CMakeLists.txt, targets abp_tam / tp0_tam and the
-// generated_tam_* ctest entries.)
+// C++ generator tests: the emitted translation unit, read as text. (The
+// units are also compiled and run as part of the build: see
+// examples/CMakeLists.txt, targets abp_tam .. lapd_tam and the
+// generated_*_tam ctest entries, which diff them against `tango analyze`.)
 #include "codegen/cpp_generator.hpp"
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "specs/builtin_specs.hpp"
 
 namespace tango::codegen {
 namespace {
 
-std::string gen(std::string_view spec_text) {
-  est::Spec spec = est::compile_spec(spec_text);
-  return generate_cpp(spec);
+/// The contents of the raw string literal that follows `name = ` in
+/// `code`, as the compiler reads them; "" when there is none.
+std::string embedded(const std::string& code, const std::string& name) {
+  const std::string head = name + " = R\"";
+  const std::size_t at = code.find(head);
+  if (at == std::string::npos) return "";
+  const std::size_t open = code.find('(', at);
+  const std::string delim = code.substr(at + head.size(),
+                                        open - at - head.size());
+  const std::size_t close = code.find(")" + delim + "\"", open + 1);
+  if (close == std::string::npos) return "";
+  return code.substr(open + 1, close - open - 1);
 }
 
-bool contains(const std::string& haystack, std::string_view needle) {
-  return haystack.find(needle) != std::string::npos;
+TEST(CppGenerator, EmitsMainThatRunsTheCoreEngines) {
+  const std::string code = generate_cpp("builtin:ack", specs::ack());
+  EXPECT_NE(code.find("#include \"cli/cli.hpp\""), std::string::npos);
+  EXPECT_NE(code.find("int main(int argc, char** argv)"), std::string::npos);
+  EXPECT_NE(code.find("tango::cli::analyzer_main(kSpecRef, kSpecText, argc, "
+                      "argv)"),
+            std::string::npos)
+      << code;
+  EXPECT_EQ(embedded(code, "kSpecRef"), "builtin:ack");
 }
 
-TEST(CppGenerator, AckEmitsModelSkeleton) {
-  std::string code = gen(specs::ack());
-  EXPECT_TRUE(contains(code, "#include \"tam_runtime.hpp\""));
-  EXPECT_TRUE(contains(code, "struct State"));
-  EXPECT_TRUE(contains(code, "class GeneratedModel final : public tam::Model"));
-  EXPECT_TRUE(contains(code, "int main(int argc, char** argv)"));
-  EXPECT_TRUE(contains(code, "tam::run_cli(model, argc, argv)"));
-  // Three transitions t_0..t_2 and their table rows.
-  EXPECT_TRUE(contains(code, "void t_0("));
-  EXPECT_TRUE(contains(code, "void t_2("));
-  EXPECT_TRUE(contains(code, "trans_.push_back({\"t1\""));
-  EXPECT_TRUE(contains(code, "trans_.push_back({\"t3\""));
+TEST(CppGenerator, EmbedsEveryBuiltinByteForByte) {
+  for (const auto& [name, text] : specs::all_builtin_specs()) {
+    const std::string code = generate_cpp("builtin:" + std::string(name), text);
+    EXPECT_EQ(embedded(code, "kSpecText"), text) << name;
+  }
 }
 
-TEST(CppGenerator, Tp0EmitsHeapAndRecords) {
-  std::string code = gen(specs::tp0());
-  // The linked-list Cell record becomes a struct with a typed heap.
-  EXPECT_TRUE(contains(code, "struct T_cell"));
-  EXPECT_TRUE(contains(code, "tam::Heap<T_cell> h_T_cell"));
-  EXPECT_TRUE(contains(code, "f_data"));
-  EXPECT_TRUE(contains(code, "f_next"));
-  // new/dispose translate to typed heap calls.
-  EXPECT_TRUE(contains(code, ".alloc()"));
-  EXPECT_TRUE(contains(code, ".release("));
-  // Routines become member functions.
-  EXPECT_TRUE(contains(code, "void r_enq("));
-  EXPECT_TRUE(contains(code, "void r_deq("));
-  // var parameters become references.
-  EXPECT_TRUE(contains(code, "tam::Ref& l_0_head"));
-}
-
-TEST(CppGenerator, LapdEmitsControlFlow) {
-  std::string code = gen(specs::lapd());
-  EXPECT_TRUE(contains(code, "tam::pmod("));        // mod-8 arithmetic
-  EXPECT_TRUE(contains(code, "for ("));             // go-back-N loop
-  EXPECT_TRUE(contains(code, "std::array<long long, 8>"));  // sentbuf
-  EXPECT_TRUE(contains(code, "bool p_"));           // provided guards
-  EXPECT_TRUE(contains(code, "long long r_outstanding("));
-}
-
-TEST(CppGenerator, WhenParamsReadFromArgs) {
-  std::string code = gen(specs::abp());
-  EXPECT_TRUE(contains(code, "args[0]"));
-  // Output parameters are marshalled to long long.
-  EXPECT_TRUE(contains(code, "static_cast<long long>("));
-}
-
-TEST(CppGenerator, PriorityAndStateTables) {
-  std::string code = gen(R"(
-specification s;
-channel CH(A, B); by A: m; by B: r;
-module M systemprocess; ip P: CH(B); end;
-body MB for M;
-  state s1, s2;
-  initialize to s2 begin end;
-  trans from s1, s2 to s1 when P.m priority 3 name t: begin output P.r; end;
-end;
-end.
-)");
-  EXPECT_TRUE(contains(code, "{0, 1}, 0, 0, 0, 3LL"));  // from/to/when/prio
-  EXPECT_TRUE(contains(code, "s_.fsm = 1;  // s2"));
-  EXPECT_TRUE(contains(code, "tables_.states.push_back(\"s1\")"));
-}
-
-TEST(CppGenerator, EnumParamsGetLiteralTables) {
-  std::string code = gen(R"(
-specification s;
-channel CH(A, B); by A: paint(c: Color); by B: done;
-module M systemprocess; ip P: CH(B); end;
-body MB for M;
-  type Color = (red, green, blue);
-  state z;
-  initialize to z begin end;
-  trans from z to z when P.paint name t: begin output P.done; end;
-end;
-end.
-)");
-  EXPECT_TRUE(contains(code, "\"red\", \"green\", \"blue\""));
-  EXPECT_TRUE(contains(code, "tam::ParamKind::Enum"));
-}
-
-TEST(CppGenerator, RejectsStructuredInteractionParams) {
-  EXPECT_THROW(gen(R"(
-specification s;
-channel CH(A, B); by A: m(p: Pt); by B: r;
-module M systemprocess; ip P: CH(B); end;
-body MB for M;
-  type Pt = record x, y: integer; end;
-  state z;
-  initialize to z begin end;
-end;
-end.
-)"),
-               CompileError);
-}
-
-TEST(CppGenerator, CaseWithoutOtherwiseFaults) {
-  std::string code = gen(R"(
-specification s;
-channel CH(A, B); by A: m(v: integer); by B: r;
-module M systemprocess; ip P: CH(B); end;
-body MB for M;
-  var x: integer;
-  state z;
-  initialize to z begin x := 0; end;
-  trans from z to z when P.m name t:
-  begin
-    case v of 1: x := 1; 2: x := 2 end;
-    output P.r;
-  end;
-end;
-end.
-)");
-  EXPECT_TRUE(contains(code, "case 1LL:"));
-  EXPECT_TRUE(contains(code, "case selector matches no label"));
+// A text holding the literal's closing sequence gets a longer delimiter
+// instead of ending the literal early; so does a ref.
+TEST(CppGenerator, DelimiterInTheTextIsEmbeddedSafely) {
+  const std::string text =
+      "specification s; { )tango_spec\" and )tango_spec0\" } end.\r\n";
+  const std::string ref = "odd)tango_spec\"name.est";
+  const std::string code = generate_cpp(ref, text);
+  EXPECT_EQ(embedded(code, "kSpecText"), text);
+  EXPECT_NE(code.find("kSpecText = R\"tango_spec1("), std::string::npos)
+      << code;
+  EXPECT_EQ(embedded(code, "kSpecRef"), ref);
+  EXPECT_NE(code.find("kSpecRef = R\"tango_spec0("), std::string::npos);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 // budget exhaustion, eviction accounting, and the batch front-end.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -210,12 +213,48 @@ TEST(ParallelDfs, BudgetExhaustionIsInconclusive) {
   }
 }
 
+/// Holds the first publisher back until another worker steals, so a
+/// steal happens whatever the schedule. The relaxed pool publishes a
+/// branching node's other alternatives right after the node's checkpoint
+/// save; that worker's next fire then waits for a `steal` event, for at
+/// most ten seconds.
+class StealLatch final : public obs::Sink {
+ public:
+  void emit(const obs::Event& e) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (e.kind == obs::EventKind::Steal) {
+      stolen_ = true;
+      cv_.notify_all();
+    } else if (e.kind == obs::EventKind::CheckpointSave && publisher_ < 0) {
+      publisher_ = e.worker;
+    } else if (e.kind == obs::EventKind::Fire && e.worker == publisher_ &&
+               !stolen_ && !timed_out_) {
+      timed_out_ = !cv_.wait_for(lock, std::chrono::seconds(10),
+                                 [this] { return stolen_; });
+    }
+  }
+  [[nodiscard]] bool timed_out() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return timed_out_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  int publisher_ = -1;
+  bool stolen_ = false;
+  bool timed_out_ = false;
+};
+
 TEST(ParallelDfs, StealingActuallyHappens) {
   est::Spec spec = tp0_spec();
   tr::Trace trace = branching_invalid_trace(spec, 10);
   Options options = Options::full();
   options.jobs = 4;
+  StealLatch latch;
+  options.sink = &latch;
   const DfsResult r = analyze_parallel(spec, trace, options);
+  EXPECT_FALSE(latch.timed_out()) << "no worker stole within 10 s";
   EXPECT_GT(r.stats.tasks_published, 0u);
   // With one trace root and >1 worker, any second worker's first task is
   // by definition stolen.

@@ -183,15 +183,22 @@ TEST(CliRobust, UsageErrorsPrintNoLocationNorAnUnrelatedSuggestion) {
   const RunResult r = run_cli("analyze builtin:abp " + valid_trace() + " -v");
   EXPECT_EQ(r.exit_code, 2) << r.output;
   EXPECT_EQ(r.output, "tango: unknown option '-v'\n");
-  for (const char* args :
-       {"analyze builtin:abp none.tr --max-depth=-5",
-        "analyze builtin:abp none.tr --order", "analyze builtin:nosuch x.tr",
-        "workload sideways", "submit x.tr"}) {
+  for (const std::string& args :
+       {std::string("analyze builtin:abp none.tr --max-depth=-5"),
+        std::string("analyze builtin:abp none.tr --order"),
+        std::string("analyze builtin:nosuch x.tr"),
+        std::string("workload sideways"), std::string("submit x.tr"),
+        "analyze builtin:abp " + valid_trace() + " --disable-ip=zz",
+        "online builtin:abp " + valid_trace() + " --unobservable-ip=zz"}) {
     const RunResult u = run_cli(args);
     EXPECT_EQ(u.exit_code, 2) << args << ": " << u.output;
     EXPECT_EQ(u.output.find("?:"), std::string::npos) << args << ": "
                                                       << u.output;
   }
+  EXPECT_EQ(run_cli("analyze builtin:abp " + valid_trace() +
+                    " --disable-ip=zz")
+                .output,
+            "tango: disable-ip option names unknown ip 'zz'\n");
 }
 
 TEST(CliRobust, ItemRetriesIsNoLongerAnOption) {

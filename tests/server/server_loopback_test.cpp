@@ -227,6 +227,16 @@ TEST_F(ServerLoopback, UnknownOrderIsAStructuredError) {
   EXPECT_NE(r.error.find("order"), std::string::npos) << r.error;
 }
 
+// An unknown ip is the client's mistake, reported like a spec error, not
+// an internal one.
+TEST_F(ServerLoopback, UnknownIpIsAnAnalysisError) {
+  SubmitOptions o = base_options(kGoldens[0], "io");
+  o.options.disabled_ips = {"zz"};
+  const SubmitResult r = submit_trace(read_file(kGoldens[0].trace_file), o);
+  EXPECT_FALSE(r.completed);
+  EXPECT_EQ(r.error, "analysis error: disable-ip option names unknown ip 'zz'");
+}
+
 // --- hello reach: the server honours every Hello row like analyze -------
 
 /// What `tango analyze` answers for these options: the verdict token, or
@@ -510,7 +520,10 @@ TEST(ServerBackpressure, QueueFullAnswersOverloaded) {
   EXPECT_EQ(busy.read().type, FrameType::Accepted);  // a worker claimed it
   RawClient queued(server.port());
   ASSERT_TRUE(queued.send(hello_frame("builtin:abp")));
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  for (int i = 0; i < 500 && server.queue_depth() < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(server.queue_depth(), 1u);
 
   SubmitOptions o;
   o.port = server.port();
