@@ -385,13 +385,10 @@ bool atoms_disjoint(const Atom& a, const Atom& b) {
   return false;
 }
 
-/// No assignment satisfies both conjunctions. `module_only` restricts the
-/// proof to module-variable atoms (when-parameter values differ between the
-/// two candidates' bindings, module variables do not).
-bool conj_disjoint(const Conj& a, const Conj& b, bool module_only) {
+/// No assignment satisfies both conjunctions.
+bool conj_disjoint(const Conj& a, const Conj& b) {
   if (a.contradiction || b.contradiction) return true;
   for (const auto& [key, aatom] : a.atoms) {
-    if (module_only && key.when) continue;
     const auto it = b.atoms.find(key);
     if (it == b.atoms.end()) continue;
     if (atoms_disjoint(aatom, it->second)) return true;
@@ -491,7 +488,7 @@ std::vector<char> compute_trusted(const Spec& spec,
   return trusted;
 }
 
-/// Whether skipping this guard's evaluation is observable: every call it
+/// Whether evaluating this guard has no observable effect: every call it
 /// reaches must be effect-free, including var-parameter write-back.
 bool guard_pure(const Expr* guard,
                 const std::vector<RoutineEffects>& effects) {
@@ -650,14 +647,10 @@ bool provided_clause_pure(const est::Expr* guard,
 // Solver driver
 // ---------------------------------------------------------------------------
 
-GuardAnalysis analyze_guards(const Spec& spec) {
-  GuardAnalysis out;
+std::vector<Finding> analyze_guards(const Spec& spec) {
+  std::vector<Finding> out;
   const std::vector<Transition>& transitions = spec.body().transitions;
   const auto n = static_cast<int>(transitions.size());
-  out.matrix.n = n;
-  out.matrix.skip.assign(static_cast<std::size_t>(n), 0);
-  out.matrix.mutex_rt.assign(
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0);
   if (n == 0) return out;
 
   const std::vector<RoutineEffects> effects = compute_routine_effects(spec);
@@ -673,21 +666,22 @@ GuardAnalysis analyze_guards(const Spec& spec) {
     conj.push_back(atomizer.run(t.provided.get()));
     pure.push_back(guard_pure(t.provided.get(), effects) ? 1 : 0);
   }
-  out.matrix.guard_is_pure = pure;
 
   auto label = [&](int i) {
     return "transition '" + transitions[static_cast<std::size_t>(i)].name +
            "'";
   };
-  auto& skip = out.matrix.skip;
+  // Transitions already shown unable to add behavior; each is reported
+  // once and takes no further part in the pairwise checks. Only a pure
+  // guard enters: an impure one's evaluation is itself observable.
+  std::vector<char> skip(static_cast<std::size_t>(n), 0);
 
   // Always-false guards can never enable their transition.
   for (int i = 0; i < n; ++i) {
     const auto si = static_cast<std::size_t>(i);
     if (!conj[si].contradiction) continue;
-    out.findings.emplace_back(
-        Severity::Error, "guards", transitions[si].loc, label(i),
-        "provided clause can never be true");
+    out.emplace_back(Severity::Error, "guards", transitions[si].loc, label(i),
+                     "provided clause can never be true");
     if (pure[si] != 0) skip[si] = 1;
   }
 
@@ -700,7 +694,7 @@ GuardAnalysis analyze_guards(const Spec& spec) {
       const auto si = static_cast<std::size_t>(i);
       if (skip[si] != 0) continue;
       if (!duplicate_of(transitions[si], transitions[sj])) continue;
-      out.findings.emplace_back(
+      out.emplace_back(
           Severity::Warning, "guards", transitions[sj].loc, label(j),
           label(j) + " is structurally identical to " + label(i) +
               "; its firings explore identical subtrees");
@@ -722,28 +716,13 @@ GuardAnalysis analyze_guards(const Spec& spec) {
       if (!same_when_source(ti, tj) || !from_superset(tj, ti)) continue;
       if (effective_priority(tj) >= effective_priority(ti)) continue;
       if (!conj_implies(conj[si], conj[sj], seed)) continue;
-      out.findings.emplace_back(
+      out.emplace_back(
           Severity::Warning, "guards", ti.loc, label(i),
           label(i) + " can never fire: whenever its provided clause holds, "
                      "higher-priority " +
               label(j) + " is also enabled");
       skip[si] = 1;
       break;
-    }
-  }
-
-  // Runtime mutual exclusion over module-variable atoms. mutex(i, j) lets
-  // the generate operation skip j once i's guard evaluated true — sound
-  // only when skipping j's evaluation is unobservable (pure guard).
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const auto si = static_cast<std::size_t>(i);
-      const auto sj = static_cast<std::size_t>(j);
-      if (pure[sj] == 0) continue;
-      if (conj_disjoint(conj[si], conj[sj], /*module_only=*/true)) {
-        out.matrix.mutex_rt[si * static_cast<std::size_t>(n) + sj] = 1;
-      }
     }
   }
 
@@ -762,8 +741,8 @@ GuardAnalysis analyze_guards(const Spec& spec) {
       const int state = shared_state(ti, tj);
       if (state < 0) continue;
       if (conj[si].contradiction || conj[sj].contradiction) continue;
-      if (conj_disjoint(conj[si], conj[sj], /*module_only=*/false)) continue;
-      out.findings.emplace_back(
+      if (conj_disjoint(conj[si], conj[sj])) continue;
+      out.emplace_back(
           Severity::Note, "guards", tj.loc, label(j),
           label(i) + " and " + label(j) + " may both be enabled in state '" +
               spec.states[static_cast<std::size_t>(state)] +

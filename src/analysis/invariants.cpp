@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "analysis/cfg.hpp"
+#include "analysis/guard_solver.hpp"
 
 namespace tango::analysis {
 
@@ -560,41 +561,6 @@ std::vector<Finding> invariant_findings(
   }
 
   return findings;
-}
-
-// ---------------------------------------------------------------------------
-// GuardMatrix v2 augmentation
-// ---------------------------------------------------------------------------
-
-void augment_guard_matrix(const Spec& spec, const StateInvariants& inv,
-                          GuardMatrix& gm) {
-  if (!inv.valid) return;
-  if (gm.n != inv.n_transitions) return;  // defensive: mismatched spec
-  gm.n_states = inv.n_states;
-  gm.n_module_vars = inv.n_module_vars;
-  gm.n_ips = inv.n_ips;
-  gm.n_interactions = inv.n_interactions;
-  gm.state_refuted_ = inv.refuted;
-  gm.any_state_refuted_ = false;
-  for (char c : inv.refuted) gm.any_state_refuted_ |= c != 0;
-  gm.state_reachable_ = inv.reachable;
-  // A trace's out events were validated against the spec's channel
-  // declarations, not against reachable code — never_out entries are
-  // meaningful even when no code outputs anything (every pending out event
-  // is then doomed). Keep them all.
-  gm.never_out_.assign(inv.emittable.size(), 0);
-  gm.any_never_out_ = false;
-  for (std::size_t i = 0; i < inv.emittable.size(); ++i) {
-    gm.never_out_[i] = inv.emittable[i] != 0 ? 0 : 1;
-    gm.any_never_out_ |= inv.emittable[i] == 0;
-  }
-  (void)spec;
-  gm.inv_lo_.assign(inv.bounds.size(), 1);
-  gm.inv_hi_.assign(inv.bounds.size(), 0);
-  for (std::size_t i = 0; i < inv.bounds.size(); ++i) {
-    gm.inv_lo_[i] = inv.bounds[i].lo;
-    gm.inv_hi_[i] = inv.bounds[i].hi;
-  }
 }
 
 }  // namespace tango::analysis

@@ -18,7 +18,7 @@
 // concrete value, "reachable" covers every concretely enterable state, and
 // "emittable" covers every concretely sendable interaction — so the
 // negative facts (refuted pair, unreachable state, dead transition,
-// never-emitted interaction) are proofs the search and the lint can act on.
+// never-emitted interaction) are proofs the lint reports.
 //
 // Proof discipline (same as the guard solver): if ANY provided clause is
 // impure, evaluating it during search can move the module state outside
@@ -30,7 +30,6 @@
 
 #include "analysis/dataflow.hpp"
 #include "analysis/finding.hpp"
-#include "analysis/guard_solver.hpp"
 #include "analysis/interval_domain.hpp"
 #include "estelle/spec.hpp"
 
@@ -103,12 +102,5 @@ struct StateInvariants {
 [[nodiscard]] std::vector<Finding> invariant_findings(
     const est::Spec& spec, const std::vector<RoutineEffects>& effects,
     const StateInvariants& inv);
-
-/// Copies the invariant facts into a GuardMatrix (v2 fields) for the
-/// search: invariant-refuted (state, transition) pairs, never-emittable
-/// interactions, per-state reachability and bounds (the debug-mode
-/// soundness oracle). No-op when `inv.valid` is false.
-void augment_guard_matrix(const est::Spec& spec, const StateInvariants& inv,
-                          GuardMatrix& gm);
 
 }  // namespace tango::analysis

@@ -384,10 +384,10 @@ LintReport lint(const est::Spec& spec, const LintOptions& options) {
                            std::make_move_iterator(flow.end()));
   }
   if (on.count("guards")) {
-    GuardAnalysis ga = analyze_guards(spec);
+    std::vector<Finding> guards = analyze_guards(spec);
     report.findings.insert(report.findings.end(),
-                           std::make_move_iterator(ga.findings.begin()),
-                           std::make_move_iterator(ga.findings.end()));
+                           std::make_move_iterator(guards.begin()),
+                           std::make_move_iterator(guards.end()));
   }
   if (on.count("invariants")) {
     const std::vector<RoutineEffects> effects = compute_routine_effects(spec);

@@ -300,7 +300,7 @@ bool share_a_letter(std::string_view a, std::string_view b) {
   });
 }
 
-/// A typo'd flag ("--no-static-prun", "--invariant-prune") dies with the
+/// A typo'd flag ("--no-reordr", "--hash-state") dies with the
 /// nearest real flag named instead of a bare "unknown option"; a flag
 /// sharing no letter with the typo is never named ("-v" is not "-o").
 /// `candidates` are the other flags parse_cli tried, "=" marking a value.
@@ -771,7 +771,6 @@ int cmd_fuzz(const Cli& cli) {
   config.out_dir = cli.out_dir;
   config.events_dir = cli.events_dir;
   config.verbose = cli.verbose;
-  config.static_prune = cli.options.static_prune;
   if (cli.options.max_transitions != 0) {
     config.max_transitions = cli.options.max_transitions;
   }

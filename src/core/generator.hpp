@@ -47,9 +47,8 @@ struct GenResult {
 /// Enumerates fireable transitions in declaration order, then keeps only
 /// the highest-priority group (smallest priority value; transitions without
 /// a priority clause rank below all prioritized ones). With a sink in
-/// `obs`, guard-solver skips emit one `prune.static` event each and the
-/// priority filter emits one `prune.shadow` event carrying the number of
-/// shadowed candidates dropped.
+/// `obs`, the priority filter emits one `prune.shadow` event carrying the
+/// number of shadowed candidates dropped.
 ///
 /// `storage` is a spent firing list the caller no longer needs (a search
 /// hands over the list of the node it just left): it is cleared and the

@@ -51,7 +51,7 @@ void emit_verdict(obs::Sink& sink, std::uint64_t witness,
                   std::string_view verdict, const Stats& stats,
                   std::string_view reason = "");
 
-/// ResolvedOptions construction timed into `phase` (guard-solver cost) —
+/// ResolvedOptions construction timed into `phase` (the `static` phase) —
 /// shaped for constructor init lists, where a scoped PhaseTimer can't go.
 [[nodiscard]] ResolvedOptions resolve_timed(const est::Spec& spec,
                                             const Options& options,

@@ -96,13 +96,6 @@ constexpr OptionRow kRows[] = {
                  kCli | kHeader, "fixed branch ownership and per-task "
                  "budgets: verdict and counters identical for any --jobs "
                  "(docs/PARALLEL.md)"),
-    TANGO_OPTION(static_prune, "--no-static-prune", "", K::NegatedBool,
-                 kCli | kHeader, "do not consume guard-solver facts during "
-                 "generate (pruning never changes verdicts, docs/LINT.md)"),
-    TANGO_OPTION(invariant_prune, "--no-invariant-prune", "", K::NegatedBool,
-                 kCli | kHeader, "drop only the whole-spec invariant facts "
-                 "(ablation); implied by --no-static-prune and "
-                 "--initial-state-search"),
     TANGO_OPTION(reorder_pg_nodes, "--no-reorder", "", K::NegatedBool,
                  kCli | kHeader, "disable MDFS dynamic node reordering"),
     TANGO_OPTION(prune_on_pgav, "", "", K::Bool, kHeader, ""),

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "analysis/invariants.hpp"
-
 namespace tango::core {
 
 std::string Options::order_mode_name() const {
@@ -20,23 +18,6 @@ ResolvedOptions::ResolvedOptions(const est::Spec& spec, const Options& opts)
     : base(&opts),
       disabled(spec.ips.size(), 0),
       unobservable(spec.ips.size(), 0) {
-  // Guard-solver pruning facts. The solver's proofs assume standard
-  // (defined-value) expression semantics and real when-bindings, so the
-  // matrix is only built when neither partial mode nor unobservable ips
-  // are in play; an empty matrix isn't worth the per-generate() checks.
-  if (opts.static_prune && !opts.partial && opts.unobservable_ips.empty()) {
-    if (opts.prebuilt_guard_matrix != nullptr) {
-      // Server fast path: adopt the registry's pre-analyzed matrix (one
-      // solver + fixpoint run at startup instead of one per session). An
-      // empty matrix stays null so generate() skips the per-candidate
-      // checks, same as the computed path below.
-      if (opts.prebuilt_guard_matrix->any_facts()) {
-        guard_matrix = opts.prebuilt_guard_matrix;
-      }
-    } else {
-      build_guard_matrix(spec, opts);
-    }
-  }
   for (const std::string& name : opts.disabled_ips) {
     const int ip = spec.ip_index(name);
     if (ip < 0) {
@@ -57,26 +38,6 @@ ResolvedOptions::ResolvedOptions(const est::Spec& spec, const Options& opts)
     if (tr.when) longest = std::max(longest, tr.when->param_types.size());
   }
   undefined_params_.resize(longest);
-}
-
-void ResolvedOptions::build_guard_matrix(const est::Spec& spec,
-                                         const Options& opts) {
-  analysis::GuardAnalysis ga = analysis::analyze_guards(spec);
-  // Whole-spec invariant facts ride on the same matrix (v2 fields).
-  // Initial-state search re-enters arbitrary FSM states after the
-  // initializer, which breaks the fixpoint's "seeded from initializers"
-  // premise — the per-state facts would be unsound there.
-  if (opts.invariant_prune && !opts.initial_state_search) {
-    const std::vector<analysis::RoutineEffects> effects =
-        analysis::compute_routine_effects(spec);
-    const analysis::StateInvariants inv =
-        analysis::compute_state_invariants(spec, effects);
-    analysis::augment_guard_matrix(spec, inv, ga.matrix);
-  }
-  if (ga.matrix.any_facts()) {
-    guard_matrix = std::make_shared<const analysis::GuardMatrix>(
-        std::move(ga.matrix));
-  }
 }
 
 }  // namespace tango::core

@@ -8,13 +8,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
-#include <memory>
-#include <span>
-
-#include "analysis/guard_solver.hpp"
 #include "estelle/spec.hpp"
 #include "runtime/interp.hpp"
 
@@ -122,35 +119,6 @@ struct Options {
   /// counted in stats.evictions; eviction weakens §4.2 pruning but never
   /// soundness. Only meaningful with hash_states.
   std::uint64_t visited_max = 0;
-  /// Consume the guard-solver facts (analysis/guard_solver.hpp) during
-  /// generate(): skip transitions that provably cannot contribute behavior
-  /// (structural duplicates, priority-shadowed, always-false guards) and
-  /// early-exit candidates proven mutually exclusive with a guard that
-  /// already held. Facts are proofs, so verdicts and witnesses are
-  /// unchanged; `--no-static-prune` turns it off for differential runs.
-  /// Automatically disabled in partial mode and with unobservable ips,
-  /// where undefined-tolerant semantics break the proofs.
-  bool static_prune = true;
-  /// Additionally consume the whole-spec invariant facts
-  /// (analysis/invariants.hpp) during generate(): skip candidates whose
-  /// guard is refuted by the current control state's invariant, and cut
-  /// subtrees whose remaining trace demands an output no live code can
-  /// emit. Same proof discipline as static_prune (which gates it: the
-  /// facts ride on the same GuardMatrix); `--no-invariant-prune` isolates
-  /// the pairwise solver for differential and ablation runs. Also
-  /// disabled under initial-state search, whose non-initializer entry
-  /// states invalidate the fixpoint's seeding assumption.
-  bool invariant_prune = true;
-  /// Pre-built guard-solver/invariant facts for this specification. When
-  /// set, ResolvedOptions adopts this matrix instead of re-running the
-  /// solver and the invariant fixpoint — the analysis server pre-analyzes
-  /// every spec once at startup and shares the matrix read-only across
-  /// sessions. The caller owns the contract that the matrix was built for
-  /// the SAME spec and with fact layers matching invariant_prune /
-  /// initial_state_search (`srv::SpecRegistry` keeps one matrix per
-  /// layer). Ignored whenever the solver would not have run at all
-  /// (static_prune off, partial mode, unobservable ips).
-  std::shared_ptr<const analysis::GuardMatrix> prebuilt_guard_matrix;
   /// Structured search-event sink (src/obs/). Null — the default — records
   /// nothing; engines guard every emission behind one branch. Non-owning:
   /// the sink must outlive the analysis. Every engine emits the same typed
@@ -194,11 +162,6 @@ struct ResolvedOptions {
   const Options* base;
   std::vector<char> disabled;      // by ip index
   std::vector<char> unobservable;  // by ip index
-  /// Guard-solver facts for generate()-time pruning; null when
-  /// static_prune is off, the proofs are invalid for this run (partial
-  /// mode / unobservable ips) or the solver found nothing. Shared so the
-  /// parallel engines' per-worker views alias one matrix.
-  std::shared_ptr<const analysis::GuardMatrix> guard_matrix;
 
   [[nodiscard]] bool is_disabled(int ip) const {
     return disabled[static_cast<std::size_t>(ip)] != 0;
@@ -217,11 +180,6 @@ struct ResolvedOptions {
   /// One shared run of undefined values, as long as the spec's longest
   /// when-parameter list.
   std::vector<rt::Value> undefined_params_;
-
-  /// Runs the guard solver (plus the invariant fixpoint when its facts are
-  /// admissible) and installs the matrix; the constructor skips this when
-  /// Options carries a prebuilt matrix.
-  void build_guard_matrix(const est::Spec& spec, const Options& opts);
 };
 
 }  // namespace tango::core

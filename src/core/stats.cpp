@@ -115,9 +115,8 @@ std::vector<std::string> Stats::invariant_violations(bool strict) const {
                     std::to_string(transitions_executed) + ") < generates (" +
                     std::to_string(generates) + ")");
     }
-    if (static_skips + evictions > transitions_executed) {
-      out.push_back("strict: static_skips + evictions (" +
-                    std::to_string(static_skips + evictions) +
+    if (evictions > transitions_executed) {
+      out.push_back("strict: evictions (" + std::to_string(evictions) +
                     ") > transitions_executed (" +
                     std::to_string(transitions_executed) + ")");
     }

@@ -43,8 +43,9 @@ struct Stats {
   std::uint64_t tasks_stolen = 0;
   std::uint64_t fanout_sum = 0;            // sum of firing-list sizes
   std::uint64_t fanout_samples = 0;
-  /// Candidate transitions skipped by guard-solver facts (static-prune
-  /// skip set + mutual-exclusion matrix) before any guard evaluation.
+  /// Always 0: no engine skips candidates on static facts. Kept because
+  /// perfbench's own walk of the search reads it; the benchmark change
+  /// that retires that walk drops the field and its JSON key.
   std::uint64_t static_skips = 0;
   /// Undo entries pushed by trail-mode checkpointing (0 in copy mode;
   /// nothing is logged while no checkpoint mark is live). Excluded from
@@ -61,7 +62,7 @@ struct Stats {
   InconclusiveReason reason = InconclusiveReason::None;
   double cpu_seconds = 0.0;
   /// Per-phase wall/RSS attribution: trace/spec parsing, option resolution
-  /// including the guard solver, and the search proper.
+  /// (the `static` phase), and the search proper.
   PhaseMetrics phase_parse;
   PhaseMetrics phase_static;
   PhaseMetrics phase_search;
@@ -110,9 +111,7 @@ struct Stats {
   ///     re-generation (§3.1.1 re-generates parked nodes without firing)
   ///     and by --initial-state-search (one initializer apply seeds a
   ///     generate per start state)
-  ///   - static_skips + evictions <= transitions_executed — can fail on
-  ///     specs where most candidates are statically skippable, since
-  ///     several skips can occur per executed transition
+  ///   - evictions <= transitions_executed
   [[nodiscard]] std::vector<std::string> invariant_violations(
       bool strict = false) const;
 };

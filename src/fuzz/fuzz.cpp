@@ -232,7 +232,6 @@ FuzzReport run_fuzz(const FuzzConfig& config, std::ostream* log) {
   base.max_transitions = config.max_transitions;
   base.deadline_ms = config.deadline_ms;
   base.checkpoint = config.checkpoint;
-  base.static_prune = config.static_prune;
   if (!config.events_dir.empty()) {
     std::filesystem::create_directories(config.events_dir);
   }

@@ -60,11 +60,6 @@ struct FuzzConfig {
   /// both modes and the same seed must report identical verdicts and
   /// identical TE/GE/RE/SA totals (the copy-vs-trail differential oracle).
   core::CheckpointMode checkpoint = core::CheckpointMode::Trail;
-  /// Consume guard-solver facts in every analysis of the campaign (the
-  /// engines still agree among themselves either way; run two campaigns
-  /// with the same seed and this toggled to differentially test the
-  /// pruning itself).
-  bool static_prune = true;
   /// Reject specs with error-level lint findings before fuzzing them (an
   /// unguarded non-progress cycle would make every DFS iteration diverge);
   /// specs with warnings are fuzzed but labelled in the log.

@@ -24,7 +24,6 @@ enum class EventKind : std::uint8_t {
   Fire,               // one apply of a generated firing (ok or vetoed)
   Backtrack,          // a node's alternatives are exhausted; popped
   PruneVisited,       // §4.2 hash table: state seen before, subtree cut
-  PruneStatic,        // guard-solver skip set / mutex matrix cut a candidate
   PruneShadow,        // lower-priority candidates dropped after generation
   CheckpointSave,     // save() at a branching node (mark in `count`)
   CheckpointRestore,  // restore() to a mark for the next sibling
@@ -40,7 +39,6 @@ enum class EventKind : std::uint8_t {
     case EventKind::Fire: return "fire";
     case EventKind::Backtrack: return "backtrack";
     case EventKind::PruneVisited: return "prune.visited";
-    case EventKind::PruneStatic: return "prune.static";
     case EventKind::PruneShadow: return "prune.shadow";
     case EventKind::CheckpointSave: return "checkpoint.save";
     case EventKind::CheckpointRestore: return "checkpoint.restore";
@@ -74,7 +72,7 @@ struct Event {
   std::int32_t worker = -1;  // worker index; -1 in sequential engines
   std::int32_t depth = 0;    // search-tree depth of the node
 
-  std::int32_t transition = -1;   // fire/prune.static: transition index
+  std::int32_t transition = -1;   // fire: transition index
   std::int32_t input_event = -1;  // fire: consumed trace seq, or -1
   std::int32_t init = -1;         // enter: initializer index
   std::int32_t start_state = -1;  // enter: FSM start state of this root

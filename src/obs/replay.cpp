@@ -83,9 +83,6 @@ class Replayer {
           }
           break;
         }
-        case EventKind::PruneStatic:
-          ++prune_static_;
-          break;
         case EventKind::PruneShadow:
           break;  // shadow counts feed no Stats counter
         case EventKind::CheckpointSave:
@@ -386,7 +383,6 @@ class Replayer {
     check_counter(i, stats, "sa", saves_);
     check_counter(i, stats, "re", restores_);
     check_counter(i, stats, "pruned_by_hash", prune_visited_);
-    check_counter(i, stats, "static_skips", prune_static_);
     check_counter(i, stats, "tasks_stolen", steals_);
     check_counter(i, stats, "evictions", evict_sum_);
   }
@@ -418,7 +414,6 @@ class Replayer {
   std::uint64_t saves_ = 0;
   std::uint64_t restores_ = 0;
   std::uint64_t prune_visited_ = 0;
-  std::uint64_t prune_static_ = 0;
   std::uint64_t steals_ = 0;
   std::uint64_t evict_sum_ = 0;
   std::uint64_t backtracks_ = 0;

@@ -66,7 +66,6 @@ constexpr Field kNode[] = {kParent, kWorker, kDepth};
 constexpr Field kPruneVisited[] = {
     kParent, kWorker, kDepth,
     {"state_hash", Hash, Required, &Event::state_hash}};
-constexpr Field kPruneStatic[] = {kParent, kWorker, kDepth, kTransition};
 constexpr Field kCounted[] = {kParent, kWorker, kDepth, kCount};
 constexpr Field kEvict[] = {kWorker, kCount};
 constexpr Field kVerdict[] = {
@@ -83,7 +82,6 @@ constexpr std::span<const Field> kTable[] = {
     kFire,         // fire
     kNode,         // backtrack
     kPruneVisited,  // prune.visited
-    kPruneStatic,  // prune.static
     kCounted,      // prune.shadow
     kCounted,      // checkpoint.save
     kCounted,      // checkpoint.restore

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "analysis/invariants.hpp"
 #include "specs/builtin_specs.hpp"
 
 namespace tango::srv {
@@ -11,22 +10,6 @@ void SpecRegistry::preload(std::string ref, std::string_view text) {
   PreparedSpec prepared;
   prepared.ref = std::move(ref);
   prepared.spec = est::compile_spec(text);
-
-  analysis::GuardAnalysis ga = analysis::analyze_guards(prepared.spec);
-  if (ga.matrix.any_facts()) {
-    prepared.matrix_pairwise =
-        std::make_shared<const analysis::GuardMatrix>(ga.matrix);
-  }
-  const std::vector<analysis::RoutineEffects> effects =
-      analysis::compute_routine_effects(prepared.spec);
-  const analysis::StateInvariants inv =
-      analysis::compute_state_invariants(prepared.spec, effects);
-  analysis::augment_guard_matrix(prepared.spec, inv, ga.matrix);
-  if (ga.matrix.any_facts()) {
-    prepared.matrix_full = std::make_shared<const analysis::GuardMatrix>(
-        std::move(ga.matrix));
-  }
-
   storage_.push_back(std::move(prepared));
   const PreparedSpec& stored = storage_.back();
   index_[stored.ref] = &stored;

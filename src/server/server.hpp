@@ -1,6 +1,6 @@
 // The `tango serve` daemon core (docs/SERVER.md §deployment): one accept
 // thread feeding a bounded queue of connections, a fixed pool of session
-// workers draining it, and a pre-analyzed SpecRegistry shared read-only by
+// workers draining it, and a compiled SpecRegistry shared read-only by
 // every session. Backpressure is explicit: when the queue is full the
 // accept thread answers `overloaded` and closes, so clients distinguish
 // "busy, retry" from "down". Shutdown is graceful by construction —

@@ -91,10 +91,12 @@ void send_final(const Conn& c, std::string_view status, std::string_view reason,
 /// so the client's eof frame may still be in flight when the verdict goes
 /// out — data arriving at a closed socket provokes an RST that destroys
 /// the client's unread reply. Bounded so a wedged client can't pin a
-/// worker.
-void linger_until_peer_closes(Conn& c) {
+/// worker, and cut short once the server drains so a client that keeps
+/// its socket open can't hold up shutdown.
+void linger_until_peer_closes(Conn& c, const SessionContext& ctx) {
   char buf[4 * 1024];
-  for (int waited = 0; !c.closed && !c.broken && waited < 2000;) {
+  for (int waited = 0;
+       !c.closed && !c.broken && waited < 2000 && !draining(ctx);) {
     const int n = recv_some(c.fd, buf, sizeof(buf), 100);
     if (n == kRecvClosed) c.closed = true;
     if (n == kRecvError) c.broken = true;
@@ -264,8 +266,6 @@ void run_session(int fd, const SessionContext& ctx) {
     core::Options opts = ctx.config->default_options;
     core::read_options(obs::parse_json(hello.options_json), core::kHello,
                        opts);
-    opts.prebuilt_guard_matrix =
-        ps->select(opts.invariant_prune, opts.initial_state_search);
 
     std::unique_ptr<obs::JsonlSink> sink;
     if (!ctx.config->events_dir.empty()) {
@@ -301,7 +301,7 @@ void run_session(int fd, const SessionContext& ctx) {
   } catch (const std::exception& e) {
     send_error(c, std::string("internal error: ") + e.what());
   }
-  linger_until_peer_closes(c);
+  linger_until_peer_closes(c, ctx);
 }
 
 }  // namespace tango::srv

@@ -1,12 +1,17 @@
-// Guard implication solver: skip-set proofs (duplicates, priority
-// shadowing, contradictions), the runtime mutual-exclusion matrix, and the
-// purity gating that keeps every entry a proof.
+// Guard implication solver: the `guards` findings over the seeded-defect
+// fixtures — contradictions, structural duplicates and priority shadowing
+// each reported once, disjoint guards kept out of the nondeterminism
+// notes — and the purity gating that keeps an impure guard out of the
+// skip set that suppresses repeat findings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "analysis/guard_solver.hpp"
 #include "estelle/spec.hpp"
@@ -22,69 +27,69 @@ std::string fixture(const std::string& name) {
   return text.str();
 }
 
-GuardAnalysis analyze(const std::string& src) {
+std::vector<Finding> analyze(const std::string& src) {
   return analyze_guards(est::compile_spec(src));
 }
 
-int index_of(const est::Spec& spec, const std::string& name) {
-  const auto& ts = spec.body().transitions;
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    if (ts[i].name == name) return static_cast<int>(i);
-  }
-  ADD_FAILURE() << "no transition named " << name;
-  return -1;
+/// Findings whose message holds `fragment`.
+std::vector<Finding> matching(const std::vector<Finding>& findings,
+                              std::string_view fragment) {
+  std::vector<Finding> out;
+  std::copy_if(findings.begin(), findings.end(), std::back_inserter(out),
+               [&](const Finding& f) {
+                 return f.message.find(fragment) != std::string::npos;
+               });
+  return out;
 }
 
-bool mentions(const GuardAnalysis& ga, std::string_view fragment) {
-  for (const Finding& f : ga.findings) {
-    if (f.message.find(fragment) != std::string::npos) return true;
-  }
-  return false;
+bool mentions(const std::vector<Finding>& findings,
+              std::string_view fragment) {
+  return !matching(findings, fragment).empty();
 }
 
 TEST(GuardSolver, StructuralDuplicateEntersTheSkipSet) {
-  est::Spec spec = est::compile_spec(fixture("dup_transitions.est"));
-  GuardAnalysis ga = analyze_guards(spec);
-  EXPECT_FALSE(ga.matrix.skippable(index_of(spec, "fork_a")));
-  EXPECT_TRUE(ga.matrix.skippable(index_of(spec, "fork_b")));
-  EXPECT_FALSE(ga.matrix.skippable(index_of(spec, "back")));
-  EXPECT_TRUE(mentions(ga, "structurally identical"));
-  EXPECT_TRUE(ga.matrix.any_facts());
+  const std::vector<Finding> findings =
+      analyze(fixture("dup_transitions.est"));
+  const std::vector<Finding> dups =
+      matching(findings, "structurally identical");
+  ASSERT_EQ(dups.size(), 1u);
+  EXPECT_EQ(dups[0].unit, "transition 'fork_b'");
+  EXPECT_EQ(dups[0].severity, Severity::Warning);
+  // fork_b is in the skip set, so the fork_a/fork_b pair raises no
+  // nondeterminism note.
+  EXPECT_FALSE(mentions(findings, "nondeterministic choice"));
 }
 
 TEST(GuardSolver, ShadowedPriorityEntersTheSkipSet) {
-  est::Spec spec = est::compile_spec(fixture("shadowed_priority.est"));
-  GuardAnalysis ga = analyze_guards(spec);
-  EXPECT_TRUE(ga.matrix.skippable(index_of(spec, "shadowed")));
-  EXPECT_FALSE(ga.matrix.skippable(index_of(spec, "strong")));
-  EXPECT_TRUE(mentions(ga, "can never fire"));
+  const std::vector<Finding> findings =
+      analyze(fixture("shadowed_priority.est"));
+  const std::vector<Finding> shadowed = matching(findings, "can never fire");
+  ASSERT_EQ(shadowed.size(), 1u);
+  EXPECT_EQ(shadowed[0].unit, "transition 'shadowed'");
+  EXPECT_NE(shadowed[0].message.find("higher-priority transition 'strong'"),
+            std::string::npos);
 }
 
-TEST(GuardSolver, DisjointGuardsFillTheMutexMatrix) {
-  est::Spec spec = est::compile_spec(fixture("mutex_guards.est"));
-  GuardAnalysis ga = analyze_guards(spec);
-  const int opening = index_of(spec, "opening");
-  const int closing = index_of(spec, "closing");
-  EXPECT_TRUE(ga.matrix.mutex(opening, closing));
-  EXPECT_TRUE(ga.matrix.mutex(closing, opening));
-  EXPECT_TRUE(ga.matrix.pure(opening));
-  EXPECT_TRUE(ga.matrix.pure(closing));
-  EXPECT_FALSE(mentions(ga, "nondeterministic"));
+TEST(GuardSolver, DisjointGuardsRaiseNoNondeterminismNote) {
+  const std::vector<Finding> findings = analyze(fixture("mutex_guards.est"));
+  EXPECT_FALSE(mentions(findings, "nondeterministic choice"));
+  EXPECT_TRUE(findings.empty());
 }
 
 TEST(GuardSolver, OverlappingGuardsAreReportedNotPruned) {
-  est::Spec spec = est::compile_spec(fixture("overlap_guards.est"));
-  GuardAnalysis ga = analyze_guards(spec);
-  const int low = index_of(spec, "low");
-  const int high = index_of(spec, "high");
-  EXPECT_FALSE(ga.matrix.mutex(low, high));
-  EXPECT_FALSE(ga.matrix.skippable(low));
-  EXPECT_FALSE(ga.matrix.skippable(high));
-  EXPECT_TRUE(mentions(ga, "nondeterministic choice"));
+  const std::vector<Finding> findings =
+      analyze(fixture("overlap_guards.est"));
+  const std::vector<Finding> notes =
+      matching(findings, "nondeterministic choice");
+  ASSERT_EQ(notes.size(), 1u);
+  EXPECT_EQ(notes[0].severity, Severity::Note);
+  EXPECT_NE(notes[0].message.find("transition 'low' and transition 'high'"),
+            std::string::npos);
+  EXPECT_FALSE(mentions(findings, "can never"));
 }
 
 TEST(GuardSolver, ContradictionIsAnErrorAndSkipped) {
-  GuardAnalysis ga = analyze(R"(
+  const std::vector<Finding> findings = analyze(R"(
 specification s;
 channel CH(A, B); by A: m; by B: o;
 module M systemprocess; ip P: CH(B); end;
@@ -99,16 +104,19 @@ body MB for M;
 end;
 end.
 )");
-  EXPECT_TRUE(mentions(ga, "can never be true"));
-  ASSERT_EQ(ga.matrix.n, 2);
-  EXPECT_TRUE(ga.matrix.skippable(0));
-  EXPECT_FALSE(ga.matrix.skippable(1));
+  const std::vector<Finding> never = matching(findings, "can never be true");
+  ASSERT_EQ(never.size(), 1u);
+  EXPECT_EQ(never[0].unit, "transition 'never'");
+  EXPECT_EQ(never[0].severity, Severity::Error);
+  // Skipped: `never` takes no part in the pairwise checks.
+  EXPECT_FALSE(mentions(findings, "nondeterministic choice"));
+  EXPECT_EQ(findings.size(), 1u);
 }
 
 TEST(GuardSolver, DeclaredSubrangeBoundsProveExclusion) {
   // flag: 0..1. `flag = 0` and `flag <> 0` are disjoint only through the
   // declared bounds (<> 0 squeezes to [1,1]).
-  GuardAnalysis ga = analyze(R"(
+  const std::vector<Finding> findings = analyze(R"(
 specification s;
 channel CH(A, B); by A: m; by B: o;
 module M systemprocess; ip P: CH(B); end;
@@ -124,9 +132,7 @@ body MB for M;
 end;
 end.
 )");
-  ASSERT_EQ(ga.matrix.n, 2);
-  EXPECT_TRUE(ga.matrix.mutex(0, 1));
-  EXPECT_FALSE(mentions(ga, "nondeterministic"));
+  EXPECT_FALSE(mentions(findings, "nondeterministic choice"));
 }
 
 TEST(GuardSolver, VarParamWriteRevokesModuleBoundTrust) {
@@ -159,24 +165,39 @@ end.
     return analyze(src);
   };
   // Bounds trusted: [0,7] makes `w = 8` a provable contradiction.
-  GuardAnalysis trusted = with_block("w := 0;");
-  EXPECT_TRUE(mentions(trusted, "can never be true"));
+  EXPECT_TRUE(mentions(with_block("w := 0;"), "can never be true"));
   // `touch(w)` passes w by reference to a writing routine — trust revoked,
   // so the same guard is no longer provably false.
-  GuardAnalysis revoked = with_block("touch(w);");
-  EXPECT_FALSE(mentions(revoked, "can never be true"));
+  EXPECT_FALSE(mentions(with_block("touch(w);"), "can never be true"));
 }
 
 TEST(GuardSolver, ImpureGuardNeverServesAsSkipEvidence) {
-  GuardAnalysis ga = analyze(fixture("impure_provided_bad.est"));
-  ASSERT_EQ(ga.matrix.n, 1);
-  EXPECT_FALSE(ga.matrix.pure(0));
+  // Two structurally identical transitions whose guard calls a routine
+  // that writes a module variable: neither enters the skip set, so the
+  // later one is not reported as a duplicate and the pair stays a
+  // nondeterministic choice.
+  const std::vector<Finding> findings = analyze(R"(
+specification s;
+channel CH(A, B); by A: m; by B: o;
+module M systemprocess; ip P: CH(B); end;
+body MB for M;
+  var hits: integer;
+  function bump(n: integer): boolean;
+  begin hits := hits + n; bump := hits < 10; end;
+  state z;
+  initialize to z begin hits := 0; end;
+  trans
+    from z to z when P.m provided bump(1) name t1: begin output P.o; end;
+    from z to z when P.m provided bump(1) name t2: begin output P.o; end;
+end;
+end.
+)");
+  EXPECT_FALSE(mentions(findings, "structurally identical"));
+  EXPECT_TRUE(mentions(findings, "nondeterministic choice"));
 }
 
 TEST(GuardSolver, CleanPairProducesNoFacts) {
-  est::Spec spec = est::compile_spec(fixture("uninit_read_ok.est"));
-  GuardAnalysis ga = analyze_guards(spec);
-  EXPECT_FALSE(ga.matrix.any_facts());
+  EXPECT_TRUE(analyze(fixture("uninit_read_ok.est")).empty());
 }
 
 }  // namespace

@@ -1,20 +1,28 @@
 // Whole-spec invariant engine tests: fixpoint tables over the seeded-defect
 // fixtures (dead-after-init transition, fixpoint-unreachable control state,
 // never-emittable interaction, cross-transition subrange fault), the
-// `invariants` lint pass wired through LintOptions::passes, GuardMatrix v2
-// augmentation, and the debug-mode soundness campaign — analyzing every
-// committed golden trace with the matrix installed drives the generate()
-// assert that every concrete state satisfies its control-state invariant.
+// `invariants` lint pass wired through LintOptions::passes, and the
+// soundness campaign — re-executing witness paths of golden and simulated
+// traces through the engine's generate/apply primitives and checking every
+// concrete state they pass through against its control-state invariant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/invariants.hpp"
 #include "analysis/lint.hpp"
 #include "core/dfs.hpp"
+#include "core/executor.hpp"
+#include "core/generator.hpp"
+#include "fuzz/generator.hpp"
+#include "sim/simulator.hpp"
 #include "specs/builtin_specs.hpp"
 #include "trace/trace_io.hpp"
 
@@ -182,30 +190,20 @@ TEST(Invariants, ImpureProvidedClauseBailsWholesale) {
   est::Spec spec = est::compile_spec(fixture("impure_provided_bad.est"));
   const StateInvariants inv = invariants_of(spec);
   EXPECT_FALSE(inv.valid);
-  GuardMatrix gm;
-  gm.n = static_cast<int>(spec.body().transitions.size());
-  augment_guard_matrix(spec, inv, gm);
-  EXPECT_FALSE(gm.has_state_facts());
-  EXPECT_FALSE(gm.has_never_out());
-  EXPECT_FALSE(gm.has_invariants());
+  EXPECT_EQ(std::count(inv.refuted.begin(), inv.refuted.end(), 1), 0);
+  EXPECT_TRUE(lint_invariants(spec).findings.empty());
 }
 
-TEST(Invariants, AugmentedMatrixCarriesFacts) {
+TEST(Invariants, StateTablesCarryRefutedAndEmittableFacts) {
   est::Spec spec = est::compile_spec(fixture("never_sent.est"));
   const StateInvariants inv = invariants_of(spec);
   ASSERT_TRUE(inv.valid);
-  GuardMatrix gm;
-  gm.n = static_cast<int>(spec.body().transitions.size());
-  augment_guard_matrix(spec, inv, gm);
-  EXPECT_TRUE(gm.has_state_facts());
-  EXPECT_TRUE(gm.has_never_out());
-  EXPECT_TRUE(gm.has_invariants());
   const int p = spec.ip_index("p");
-  EXPECT_TRUE(gm.never_out(p, spec.output_id(p, "err")));
-  EXPECT_FALSE(gm.never_out(p, spec.output_id(p, "done")));
+  EXPECT_FALSE(inv.is_emittable(p, spec.output_id(p, "err")));
+  EXPECT_TRUE(inv.is_emittable(p, spec.output_id(p, "done")));
   const int s = spec.state_ordinal("s");
-  EXPECT_TRUE(gm.state_refuted(s, transition_index(spec, "bad")));
-  EXPECT_FALSE(gm.state_refuted(s, transition_index(spec, "ok")));
+  EXPECT_TRUE(inv.is_refuted(s, transition_index(spec, "bad")));
+  EXPECT_FALSE(inv.is_refuted(s, transition_index(spec, "ok")));
 }
 
 // Builtin specifications must keep analyzing cleanly with the engine on:
@@ -221,10 +219,120 @@ TEST(Invariants, BuiltinSpecsLintCleanAtErrorLevel) {
 }
 
 // ---------------------------------------------------------------------------
-// Soundness campaign: the generate() debug assert checks every concrete
-// state reached during search against the invariant table. Any unsound
-// interval would abort the test binary here.
+// Soundness campaign: every concrete state a witness path passes through
+// must be covered by the invariant table — its control state reachable,
+// every defined scalar module variable inside its interval — and no fired
+// transition may be dead. Any unsound fact fails here.
 // ---------------------------------------------------------------------------
+
+/// Re-executes a witness (DfsResult::solution: the initialize clause, then
+/// transition names) with core::generate and core::apply_firing, choosing
+/// among the generated firings by transition name, backtracking when a
+/// name is ambiguous. Every state an applied firing produces is checked,
+/// on the final path or not: each is a state the specification reaches.
+class WitnessReplay {
+ public:
+  WitnessReplay(const est::Spec& spec, const StateInvariants& inv,
+                const tr::Trace& trace, const core::Options& options)
+      : spec_(spec),
+        inv_(inv),
+        trace_(trace),
+        ro_(spec, options),
+        interp_(spec, rt::EvalMode::Strict, options.interp) {}
+
+  /// True when the whole witness re-executes and explains the trace.
+  bool run(const std::vector<std::string>& path) {
+    path_ = &path;
+    const auto& inits = spec_.body().initializers;
+    for (std::size_t ii = 0; ii < inits.size(); ++ii) {
+      core::InitResult init =
+          core::apply_initializer(interp_, trace_, ro_, ii, stats_);
+      if (!init.ok || path.empty() ||
+          path[0] != "initialize to " + state_name(init.state)) {
+        continue;
+      }
+      check(init.state);
+      if (from(1, init.state)) return true;
+    }
+    return false;
+  }
+
+  /// States checked so far.
+  [[nodiscard]] int checked() const { return checked_; }
+
+ private:
+  bool from(std::size_t step, core::SearchState st) {
+    if (step == path_->size()) return st.cursors.all_done(trace_, ro_);
+    const core::GenResult gen =
+        core::generate(interp_, trace_, ro_, st, stats_);
+    for (const core::Firing& firing : gen.firings) {
+      const auto t = static_cast<std::size_t>(firing.transition);
+      if (spec_.body().transitions[t].name != (*path_)[step]) continue;
+      core::SearchState next = st;
+      if (!core::apply_firing(interp_, trace_, ro_, next, firing, stats_)
+               .ok) {
+        continue;
+      }
+      EXPECT_FALSE(inv_.is_dead(firing.transition))
+          << "fired dead transition " << (*path_)[step];
+      check(next);
+      if (from(step + 1, std::move(next))) return true;
+    }
+    return false;
+  }
+
+  void check(const core::SearchState& st) {
+    ++checked_;
+    const int s = st.machine.fsm_state;
+    ASSERT_GE(s, 0);
+    ASSERT_LT(s, inv_.n_states);
+    EXPECT_TRUE(inv_.is_reachable(s)) << "occupied state " << state_name(st)
+                                      << " is unreachable in the fixpoint";
+    const std::size_t n = std::min(
+        static_cast<std::size_t>(inv_.n_module_vars), st.machine.vars.size());
+    for (std::size_t v = 0; v < n; ++v) {
+      const rt::Value& val = st.machine.vars[v];
+      if (val.is_undefined() || !val.is_scalar()) continue;
+      const Interval& b = inv_.bound(s, static_cast<int>(v));
+      EXPECT_TRUE(val.scalar() >= b.lo && val.scalar() <= b.hi)
+          << "module variable " << v << " = " << val.scalar()
+          << " outside [" << b.lo << ", " << b.hi << "] at state "
+          << state_name(st);
+    }
+  }
+
+  std::string state_name(const core::SearchState& st) const {
+    return spec_.states[static_cast<std::size_t>(st.machine.fsm_state)];
+  }
+
+  const est::Spec& spec_;
+  const StateInvariants& inv_;
+  const tr::Trace& trace_;
+  core::ResolvedOptions ro_;
+  rt::Interp interp_;
+  core::Stats stats_;
+  const std::vector<std::string>* path_ = nullptr;
+  int checked_ = 0;
+};
+
+/// Analyzes `trace` under each order preset; every valid verdict's witness
+/// is re-executed and checked. Returns the number of states checked.
+int check_witnesses(const est::Spec& spec, const StateInvariants& inv,
+                    const tr::Trace& trace, const std::string& label) {
+  int checked = 0;
+  for (core::Options options : {core::Options::none(), core::Options::io(),
+                                core::Options::full()}) {
+    options.max_transitions = 200'000;
+    const core::DfsResult r = core::analyze(spec, trace, options);
+    if (r.verdict != core::Verdict::Valid) continue;
+    WitnessReplay replay(spec, inv, trace, options);
+    EXPECT_TRUE(replay.run(r.solution))
+        << label << " " << options.order_mode_name()
+        << ": the witness does not re-execute";
+    checked += replay.checked();
+  }
+  return checked;
+}
 
 TEST(Invariants, SoundnessOverGoldenTraces) {
   struct Golden {
@@ -232,22 +340,39 @@ TEST(Invariants, SoundnessOverGoldenTraces) {
     const char* spec;
   };
   const Golden goldens[] = {
-      {"abp_valid.tr", "abp"},   {"abp_invalid.tr", "abp"},
-      {"ack_paper.tr", "ack"},   {"inres_valid.tr", "inres"},
-      {"tp0_valid.tr", "tp0"},   {"lapd_midstream.tr", "lapd"},
+      {"abp_valid.tr", "abp"},
+      {"ack_paper.tr", "ack"},
+      {"inres_valid.tr", "inres"},
+      {"tp0_valid.tr", "tp0"},
   };
   for (const Golden& g : goldens) {
     est::Spec spec = est::compile_spec(specs::builtin_spec(g.spec));
-    const std::string text =
-        read_file(std::string(TANGO_TRACES_DIR) + "/" + g.trace);
-    for (core::Options base : {core::Options::none(), core::Options::io(),
-                               core::Options::full()}) {
-      base.max_transitions = 200'000;
-      ASSERT_TRUE(base.invariant_prune);  // default on
-      const core::DfsResult r = core::analyze_text(spec, text, base);
-      (void)r;  // verdicts are pinned by prune_diff_test; here the debug
-                // assert inside generate() is the oracle
+    const StateInvariants inv = invariants_of(spec);
+    ASSERT_TRUE(inv.valid) << g.spec;
+    const tr::Trace trace = tr::parse_trace(
+        spec, read_file(std::string(TANGO_TRACES_DIR) + "/" + g.trace));
+    EXPECT_GT(check_witnesses(spec, inv, trace, g.trace), 1) << g.trace;
+  }
+
+  // Simulated runs of every builtin, inputs recorded at consumption (valid
+  // under every preset), from random stimulus scripts.
+  for (const auto& [name, text] : specs::all_builtin_specs()) {
+    est::Spec spec = est::compile_spec(text);
+    const StateInvariants inv = invariants_of(spec);
+    ASSERT_TRUE(inv.valid) << name;
+    int checked = 0;
+    for (std::uint32_t seed = 1; seed <= 6; ++seed) {
+      std::mt19937 rng(seed);
+      sim::SimOptions so;
+      so.seed = seed;
+      so.max_steps = 160;
+      const sim::SimResult sim =
+          sim::simulate(spec, fuzz::synthesize_feeds(spec, rng), so);
+      checked += check_witnesses(spec, inv, sim.trace,
+                                 std::string(name) + " seed " +
+                                     std::to_string(seed));
     }
+    EXPECT_GT(checked, 6) << name;
   }
 }
 

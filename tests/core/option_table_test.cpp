@@ -105,9 +105,9 @@ TEST(OptionTable, DefaultHeaderBytesAreStable) {
             R"("check_output_wrt_input":false,"checkpoint":"trail",)"
             R"("deadline_ms":0,"deterministic":false,"disabled_ips":[],)"
             R"("hash_states":false,"initial_state_search":false,)"
-            R"("invariant_prune":true,"jobs":1,"max_depth":0,"max_memory":0,)"
+            R"("jobs":1,"max_depth":0,"max_memory":0,)"
             R"("max_transitions":0,"partial":false,"prune_on_pgav":false,)"
-            R"("reorder_pg_nodes":true,"static_prune":true,)"
+            R"("reorder_pg_nodes":true,)"
             R"("unobservable_ips":[],"visited_max":0})");
 }
 

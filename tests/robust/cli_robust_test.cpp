@@ -209,6 +209,21 @@ TEST(CliRobust, ItemRetriesIsNoLongerAnOption) {
   EXPECT_NE(r.output.find("unknown option"), std::string::npos) << r.output;
 }
 
+// The search consumes no static facts, so there is nothing to switch off.
+TEST(CliRobust, StaticPruneFlagsAreNoLongerOptions) {
+  for (const char* flag : {"--no-static-prune", "--no-invariant-prune"}) {
+    for (const std::string& args :
+         {"analyze builtin:abp " + valid_trace() + " " + flag,
+          "fuzz --iterations=1 " + std::string(flag)}) {
+      const RunResult r = run_cli(args);
+      EXPECT_EQ(r.exit_code, 2) << args << ": " << r.output;
+      EXPECT_EQ(r.output, "tango: unknown option '" + std::string(flag) +
+                              "'\n")
+          << args;
+    }
+  }
+}
+
 // A malformed step field in a simulate script used to surface as a bare
 // std::stoull exception ("tango: stoull"); it is now a positioned
 // diagnostic naming the offending token.

@@ -537,6 +537,38 @@ TEST(ServerBackpressure, QueueFullAnswersOverloaded) {
   server.shutdown();
 }
 
+// After its verdict a session waits (up to 2 s) for the client to close
+// first; a draining server must not wait on a client that never does.
+TEST(ServerDrain, ShutdownDoesNotWaitOnAClientThatStaysOpen) {
+  auto registry =
+      std::make_shared<const SpecRegistry>(SpecRegistry::with_builtins());
+  ServerConfig config;
+  config.workers = 1;
+  Server server(std::move(registry), config);
+  server.start();
+
+  RawClient c(server.port());
+  ASSERT_TRUE(c.send(hello_frame("builtin:abp")));
+  EXPECT_EQ(c.read().type, FrameType::Accepted);
+  Frame chunk;
+  chunk.type = FrameType::Chunk;
+  chunk.text = read_file("abp_valid.tr");  // ends with an in-band eof
+  ASSERT_TRUE(c.send(chunk));
+  Frame f = c.read();
+  while (f.type == FrameType::Verdict && !f.final_verdict) f = c.read();
+  ASSERT_EQ(f.type, FrameType::Verdict) << f.message;
+  EXPECT_EQ(f.status, "valid");
+  EXPECT_EQ(c.read().type, FrameType::Stats);
+
+  // `c` stays open: the session is now lingering for the client's close.
+  const auto start = std::chrono::steady_clock::now();
+  server.shutdown();
+  const auto took = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_LT(took.count(), 1'000) << "shutdown waited on an open client";
+  EXPECT_EQ(server.sessions_completed(), 1u);
+}
+
 TEST(ServerShutdown, DrainConcludesInFlightSessionsWithShutdown) {
   auto registry =
       std::make_shared<const SpecRegistry>(SpecRegistry::with_builtins());
