@@ -42,10 +42,17 @@ struct DfsResult {
                                      std::string_view trace_text,
                                      const Options& options);
 
-/// Validates trace/option consistency (shared with the on-line analyzer):
-/// no events at disabled ips, no inputs at unobservable ips.
+/// Validates trace/option consistency: no inputs at disabled or
+/// unobservable ips. Throws CompileError at the earliest offending input;
+/// O(ips), not O(events).
 void validate_trace_against_options(const est::Spec& spec,
                                     const tr::Trace& trace,
+                                    const ResolvedOptions& ro);
+
+/// The same check for one event; the on-line analyzer runs it on each
+/// event as it arrives.
+void validate_event_against_options(const est::Spec& spec,
+                                    const tr::TraceEvent& e,
                                     const ResolvedOptions& ro);
 
 }  // namespace tango::core

@@ -112,14 +112,8 @@ bool OnlineAnalyzer::poll_source() {
   if (!got) return false;
   // Validate only the newly arrived suffix.
   for (; validated_events_ < trace_.events().size(); ++validated_events_) {
-    const tr::TraceEvent& e = trace_.events()[validated_events_];
-    if (ro_.is_disabled(e.ip) ||
-        (e.dir == tr::Dir::In && ro_.is_unobservable(e.ip))) {
-      // Reuse the batch validator for a consistent message.
-      tr::Trace one(trace_.ip_count());
-      one.append(e);
-      validate_trace_against_options(spec_, one, ro_);
-    }
+    validate_event_against_options(spec_, trace_.events()[validated_events_],
+                                   ro_);
   }
   // Retry initializers that were blocked on unrecorded outputs.
   if (seeded_ && !pending_roots_.empty()) {

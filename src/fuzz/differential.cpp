@@ -113,7 +113,11 @@ EngineRun run_engine(const est::Spec& spec, const tr::Trace& trace,
   if (engine == Engine::ParDfs) {
     // Verdict-level cross-check of the work-stealing engine against the
     // sequential cells; at least two workers so stealing actually happens.
+    // The deterministic schedule keeps the campaign's counter totals
+    // reproducible in the seed; relaxed-mode verdicts are covered by the
+    // parallel engine's own tests.
     options.jobs = base.jobs > 1 ? base.jobs : 2;
+    options.deterministic = true;
     r = core::analyze_parallel(spec, trace, options);
   } else {
     r = core::analyze(spec, trace, options);

@@ -4,11 +4,13 @@
 // budget exhaustion, eviction accounting, and the batch front-end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/dfs.hpp"
@@ -52,6 +54,143 @@ TEST(VisitedSet, EvictionIsSeedDeterministic) {
   }
   EXPECT_EQ(ra, rb);
   EXPECT_EQ(a.evictions(), b.evictions());
+}
+
+/// The node-based table VisitedSet replaced, kept as the test oracle: the
+/// same victim choice (xorshift64 over the resident keys, swap-remove) over
+/// a std::unordered_set.
+class OracleVisitedSet {
+ public:
+  explicit OracleVisitedSet(std::uint64_t max_entries)
+      : max_(max_entries) {}
+
+  bool insert(std::uint64_t h) {
+    if (!set_.insert(h).second) return false;
+    if (max_ == 0) return true;
+    keys_.push_back(h);
+    if (keys_.size() > max_) {
+      rng_ ^= rng_ << 13;
+      rng_ ^= rng_ >> 7;
+      rng_ ^= rng_ << 17;
+      const std::size_t victim = rng_ % keys_.size();
+      set_.erase(keys_[victim]);
+      keys_[victim] = keys_.back();
+      keys_.pop_back();
+      ++evictions_;
+    }
+    return true;
+  }
+  [[nodiscard]] bool contains(std::uint64_t h) const {
+    return set_.count(h) != 0;
+  }
+  [[nodiscard]] std::size_t size() const { return set_.size(); }
+  [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
+
+ private:
+  std::unordered_set<std::uint64_t> set_;
+  std::vector<std::uint64_t> keys_;
+  std::uint64_t max_;
+  std::uint64_t evictions_ = 0;
+  std::uint64_t rng_ = 0x9e3779b97f4a7c15ULL | 1;
+};
+
+/// Inserts `keys` into both tables and checks, after every insert, the
+/// return value, size, evictions and the membership of every key.
+void expect_matches_oracle(std::uint64_t max_entries,
+                           const std::vector<std::uint64_t>& universe,
+                           const std::vector<std::uint64_t>& keys) {
+  VisitedSet set(max_entries);
+  OracleVisitedSet oracle(max_entries);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(set.insert(keys[i]), oracle.insert(keys[i]))
+        << "insert #" << i << " of " << keys[i];
+    ASSERT_EQ(set.size(), oracle.size()) << "after insert #" << i;
+    ASSERT_EQ(set.evictions(), oracle.evictions()) << "after insert #" << i;
+    for (const std::uint64_t k : universe) {
+      ASSERT_EQ(set.contains(k), oracle.contains(k))
+          << "key " << k << " after insert #" << i;
+    }
+  }
+}
+
+/// `n` draws from `universe` (seeded, uniform).
+std::vector<std::uint64_t> draws(const std::vector<std::uint64_t>& universe,
+                                 std::size_t n, std::uint64_t seed) {
+  std::vector<std::uint64_t> out;
+  std::uint64_t s = seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    s ^= s << 13;
+    s ^= s >> 7;
+    s ^= s << 17;
+    out.push_back(universe[s % universe.size()]);
+  }
+  return out;
+}
+
+TEST(VisitedSet, MatchesOracleOnRandomKeys) {
+  // Full-range hashes (the shape of real state hashes), key 0 among them.
+  std::vector<std::uint64_t> universe = {0};
+  std::uint64_t h = 0x2545F4914F6CDD1DULL;
+  for (int i = 0; i < 300; ++i) {
+    h = h * 6364136223846793005ULL + 1442695040888963407ULL;
+    universe.push_back(h);
+  }
+  for (const std::uint64_t max : {0u, 1u, 7u, 64u}) {
+    SCOPED_TRACE("max_entries " + std::to_string(max));
+    expect_matches_oracle(max, universe, draws(universe, 1500, max + 11));
+  }
+}
+
+TEST(VisitedSet, MatchesOracleWhenEveryKeySharesItsLowBits) {
+  // Every key's low 20 bits are all ones, so each one's home is the last
+  // bucket at every capacity the test reaches: one probe run holds them
+  // all and wraps past the end of the array. Bounded runs evict from the
+  // middle of that run and re-insert evicted keys into it.
+  std::vector<std::uint64_t> universe = {0};
+  for (std::uint64_t i = 1; i <= 150; ++i) {
+    universe.push_back((i << 20) | 0xFFFFF);
+  }
+  for (const std::uint64_t max : {0u, 1u, 7u, 64u}) {
+    SCOPED_TRACE("max_entries " + std::to_string(max));
+    expect_matches_oracle(max, universe, draws(universe, 1000, max + 5));
+  }
+}
+
+TEST(VisitedSet, ZeroIsAKeyLikeAnyOther) {
+  VisitedSet set;
+  EXPECT_FALSE(set.contains(0));
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_FALSE(set.insert(0));
+  EXPECT_TRUE(set.contains(0));
+  EXPECT_EQ(set.size(), 1u);
+  EXPECT_TRUE(set.insert(16));  // lands in the bucket 0 would have had
+  EXPECT_EQ(set.size(), 2u);
+  // Bounded to one entry: the zero flag is evicted like a slot.
+  VisitedSet one(/*max_entries=*/1);
+  EXPECT_TRUE(one.insert(0));
+  EXPECT_TRUE(one.insert(5));
+  EXPECT_EQ(one.size(), 1u);
+  EXPECT_EQ(one.evictions(), 1u);
+  EXPECT_NE(one.contains(0), one.contains(5));
+}
+
+TEST(VisitedSet, EvictionVictimsArePinned) {
+  // Victims of the default seed with 4 resident entries while 1..12 are
+  // inserted: the sequence the node-based table produced, so a layout
+  // change cannot move which states a bounded search forgets.
+  VisitedSet set(/*max_entries=*/4);
+  std::vector<std::uint64_t> victims;
+  for (std::uint64_t h = 1; h <= 12; ++h) {
+    ASSERT_TRUE(set.insert(h));
+    for (std::uint64_t k = 1; k <= h; ++k) {
+      if (!set.contains(k) &&
+          std::find(victims.begin(), victims.end(), k) == victims.end()) {
+        victims.push_back(k);
+      }
+    }
+  }
+  EXPECT_EQ(victims, (std::vector<std::uint64_t>{5, 6, 1, 7, 4, 8, 3, 10}));
+  EXPECT_EQ(set.evictions(), 8u);
 }
 
 TEST(ShardedVisitedTable, DetectsDuplicatesAcrossFullKeyRange) {

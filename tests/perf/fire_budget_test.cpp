@@ -69,10 +69,13 @@ namespace {
 // formatted its sentence and outputs, frames and firing lists had vectors
 // of their own, and LAPD and TP0 were 15.00 and 10.94 while every read
 // copied its whole aggregate. The on-line run was 2.81 while every fired
-// node, a handing-over one too, allocated a child.
+// node, a handing-over one too, allocated a child. The hashed TP0 search
+// makes 2.67 per TE; it made 3.24 while the visited table allocated a
+// node for every fresh state.
 constexpr double kLapdBound = 2.77;
 constexpr double kTp0Bound = 3.07;
 constexpr double kMdfsLapdBound = 0.83;
+constexpr double kTp0HashedBound = 2.72;
 
 struct Budget {
   long allocations = 0;
@@ -121,6 +124,21 @@ TEST(FireBudget, Tp0EditedN3Io) {
   EXPECT_EQ(b.verdict, Verdict::Invalid);
   ASSERT_GT(b.te, 0u);
   EXPECT_LE(b.per_te(), kTp0Bound) << b.allocations << " over " << b.te;
+}
+
+TEST(FireBudget, Tp0HashedN200Io) {
+  // The §4.2 visited table's search: a long invalid TP0 trace refuted with
+  // state hashing, so every fresh state goes into the table.
+  const est::Spec tp0 = est::compile_spec(specs::tp0());
+  Options options = Options::io();
+  options.hash_states = true;
+  const Budget b = measure(
+      tp0,
+      sim::mutate_output_param_from_last(sim::tp0_paper_trace(tp0, 200), 3),
+      options);
+  EXPECT_EQ(b.verdict, Verdict::Invalid);
+  ASSERT_GT(b.te, 0u);
+  EXPECT_LE(b.per_te(), kTp0HashedBound) << b.allocations << " over " << b.te;
 }
 
 TEST(FireBudget, MdfsLapdFull) {

@@ -224,6 +224,49 @@ TEST(CliRobust, StaticPruneFlagsAreNoLongerOptions) {
   }
 }
 
+// Inputs at a disabled or unobservable ip are rejected at the earliest
+// one in trace order, whichever ip it sits at; an ip that is both reports
+// as disabled. Off-line analysis checks each ip's first input, the on-line
+// analyzer every event as it arrives: both print the same text.
+TEST(CliRobust, InputsAtHiddenIpsAreRejectedAtTheEarliestInput) {
+  const std::filesystem::path trace =
+      std::filesystem::path(testing::TempDir()) / "cli_robust_hidden.tr";
+  {
+    FILE* f = fopen(trace.string().c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    // U (the spec's first ip) has an input, but only after M's.
+    fputs("# abp\nout m.frame(0, 5)\nin  m.ack(0)\nin  u.send(5)\neof\n",
+          f);
+    fclose(f);
+  }
+  const std::string disabled_m =
+      "tango: 3:1: trace contains inputs at disabled ip 'm'; disabling an "
+      "ip asserts no input arrives there\n";
+  const std::string unobservable_m =
+      "tango: 3:1: trace contains inputs at unobservable ip 'm'\n";
+  const std::string disabled_u =
+      "tango: 4:1: trace contains inputs at disabled ip 'u'; disabling an "
+      "ip asserts no input arrives there\n";
+  const struct {
+    const char* flags;
+    const std::string& expected;
+  } cases[] = {
+      {"--disable-ip=U --unobservable-ip=M", unobservable_m},
+      {"--unobservable-ip=U --disable-ip=M", disabled_m},
+      {"--disable-ip=M --unobservable-ip=M", disabled_m},
+      {"--disable-ip=U", disabled_u},
+  };
+  for (const auto& c : cases) {
+    for (const char* command : {"analyze", "online"}) {
+      const RunResult r = run_cli(std::string(command) + " builtin:abp " +
+                                  trace.string() + " " + c.flags);
+      EXPECT_EQ(r.exit_code, 2) << command << " " << c.flags;
+      EXPECT_EQ(r.output, c.expected) << command << " " << c.flags;
+    }
+  }
+  std::filesystem::remove(trace);
+}
+
 // A malformed step field in a simulate script used to surface as a bare
 // std::stoull exception ("tango: stoull"); it is now a positioned
 // diagnostic naming the offending token.
