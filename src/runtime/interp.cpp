@@ -1,5 +1,6 @@
 #include "runtime/interp.hpp"
 
+#include <array>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -28,6 +29,40 @@ struct PathAbort {};
 /// What Exec::place resolves to: a location to write, or storage to read.
 template <bool Write>
 using PlacePtr = std::conditional_t<Write, Value*, const Value*>;
+
+/// Where a write descent lands, for its trail entry: the root, the
+/// element path below it and the node whose old value the entry saves —
+/// the leaf, or its ancestor kMaxPath steps down when the path is deeper
+/// (saving an ancestor covers the leaf). `node` stays null for a frame
+/// local, which the trail does not log: a var parameter's binding already
+/// logged the caller's location it aliases.
+struct WriteLoc {
+  static constexpr std::size_t kMaxPath = 8;
+
+  void reset(Trail::Root r, std::uint32_t i, CompCache p, Value* n) {
+    root = r;
+    index = i;
+    prior = p;
+    node = n;
+    depth = 0;
+  }
+  /// Descends one element; no-op below a frame local or past kMaxPath.
+  void step(std::size_t pos, Value* next) {
+    if (node == nullptr || depth == kMaxPath) return;
+    path[depth++] = static_cast<std::uint32_t>(pos);
+    node = next;
+  }
+  [[nodiscard]] std::span<const std::uint32_t> steps() const {
+    return {path.data(), depth};
+  }
+
+  Trail::Root root = Trail::Root::Var;
+  std::uint32_t index = 0;
+  CompCache prior;
+  Value* node = nullptr;
+  std::size_t depth = 0;
+  std::array<std::uint32_t, kMaxPath> path;
+};
 
 /// Element `i` of an aggregate's elements, bounds-checked.
 template <class V>
@@ -240,9 +275,19 @@ class Exec {
     throw RuntimeFault(e.loc, "internal: unhandled expression");
   }
 
+  /// Resolves an assignable location. Under a live trail, logs the
+  /// location's old value first: the caller writes it next (or, for a var
+  /// parameter, binds it).
   Value* lvalue(const Expr& e, Frame& f) {
     Value unused;
-    return place<true>(e, f, unused);
+    if (trail_ == nullptr) return place<true>(e, f, unused);
+    WriteLoc loc;
+    Value* leaf = place<true>(e, f, unused, &loc);
+    if (loc.node != nullptr) {
+      trail_->log_write(loc.root, loc.index, loc.steps(), *loc.node,
+                        loc.prior);
+    }
+    return leaf;
   }
 
  private:
@@ -252,10 +297,12 @@ class Exec {
   /// only its leaf; a value that lives nowhere (a constant, a function
   /// result) is materialised in `tmp`, and an undefined aggregate in
   /// partial mode resolves to `undefined_`. Write mode resolves an
-  /// assignable location, logging its root for the trail first, and faults
-  /// on every undefined aggregate.
+  /// assignable location, recording its root and path in `loc` when a
+  /// trail is live (null otherwise), and faults on every undefined
+  /// aggregate.
   template <bool Write>
-  PlacePtr<Write> place(const Expr& e, Frame& f, Value& tmp) {
+  PlacePtr<Write> place(const Expr& e, Frame& f, Value& tmp,
+                        WriteLoc* loc = nullptr) {
     switch (e.kind) {
       case ExprKind::Name:
         switch (e.ref) {
@@ -263,12 +310,10 @@ class Exec {
             Value* root = &m_.vars[static_cast<std::size_t>(e.slot)];
             if constexpr (Write) {
               check_writable(e.loc, "module variable");
-              // Log the whole root slot: a field/index lvalue resolves
-              // through here first, and a slot index stays valid however
-              // the value is later reassigned (interior pointers would
-              // not).
-              if (trail_ != nullptr) {
-                trail_->log_var(e.slot, *root, m_.var_cache_entry(e.slot));
+              if (loc != nullptr) {
+                loc->reset(Trail::Root::Var,
+                           static_cast<std::uint32_t>(e.slot),
+                           m_.var_cache_entry(e.slot), root);
               }
               m_.note_var_write(e.slot);
             }
@@ -295,14 +340,20 @@ class Exec {
           return &tmp;
         }
       case ExprKind::Field: {
-        PlacePtr<Write> base = place<Write>(*e.children[0], f, tmp);
+        PlacePtr<Write> base = place<Write>(*e.children[0], f, tmp, loc);
         if (base->is_undefined()) {
           if constexpr (!Write) {
             if (mode_ == EvalMode::Partial) return &undefined_;
           }
           throw RuntimeFault(e.loc, "field access on undefined record");
         }
-        return element(base->elems(), e.field_index);
+        PlacePtr<Write> field = element(base->elems(), e.field_index);
+        if constexpr (Write) {
+          if (loc != nullptr) {
+            loc->step(static_cast<std::size_t>(e.field_index), field);
+          }
+        }
+        return field;
       }
       case ExprKind::Index: {
         const Expr& base_expr = *e.children[0];
@@ -318,9 +369,9 @@ class Exec {
         std::int64_t ix = 0;
         if (Write && calls && base_expr.kind != ExprKind::Name) {
           ix = need_scalar(eval(sub, f), sub.loc);
-          base = place<Write>(base_expr, f, tmp);
+          base = place<Write>(base_expr, f, tmp, loc);
         } else {
-          base = place<Write>(base_expr, f, tmp);
+          base = place<Write>(base_expr, f, tmp, loc);
           if constexpr (!Write) {
             if (calls) {
               Value snapshot = *base;  // `base` may point into `tmp`
@@ -343,7 +394,13 @@ class Exec {
           }
           throw RuntimeFault(e.loc, "indexing an undefined array");
         }
-        return element(base->elems(), ix - at->lo);
+        PlacePtr<Write> elem = element(base->elems(), ix - at->lo);
+        if constexpr (Write) {
+          if (loc != nullptr) {
+            loc->step(static_cast<std::size_t>(ix - at->lo), elem);
+          }
+        }
+        return elem;
       }
       case ExprKind::Deref: {
         if constexpr (Write) check_writable(e.loc, "dynamic memory");
@@ -357,10 +414,11 @@ class Exec {
         if constexpr (Write) {
           // Capture the cache entry before the lookup: the non-const cell
           // lookup bumps the heap epoch for the write about to happen.
-          const CompCache heap_prior = m_.heap_cache_entry();
+          const CompCache heap_prior =
+              loc != nullptr ? m_.heap_cache_entry() : CompCache{};
           Value* c = cell<true>(p, e.loc);
-          if (trail_ != nullptr) {
-            trail_->log_heap_write(p.address(), *c, heap_prior);
+          if (loc != nullptr) {
+            loc->reset(Trail::Root::Heap, p.address(), heap_prior, c);
           }
           return c;
         } else {

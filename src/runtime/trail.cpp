@@ -1,61 +1,42 @@
 #include "runtime/trail.hpp"
 
+#include <cassert>
+#include <limits>
+
 #include "runtime/heap.hpp"
 
 namespace tango::rt {
 
 void Trail::log_fsm(int old_state) {
-  affinity_.bind_or_check();
-  Entry e;
-  e.kind = Kind::Fsm;
-  e.fsm_old = old_state;
-  entries_.push_back(std::move(e));
-  ++total_logged_;
+  // -1 before the initialize transition; undo casts it back.
+  push(Kind::Fsm).index = static_cast<std::uint32_t>(old_state);
 }
 
-void Trail::log_var(int slot, const Value& old_value, CompCache prior) {
-  affinity_.bind_or_check();
-  Entry e;
-  e.kind = Kind::Var;
-  e.index = static_cast<std::uint32_t>(slot);
+void Trail::log_write(Root root, std::uint32_t index,
+                      std::span<const std::uint32_t> path,
+                      const Value& old_value, CompCache prior) {
+  assert(path.size() <= std::numeric_limits<std::uint16_t>::max());
+  Entry& e = push(Kind::Write);
+  e.root = root;
+  e.path_len = static_cast<std::uint16_t>(path.size());
+  e.index = index;
   e.old = old_value;
   e.cache = prior;
-  entries_.push_back(std::move(e));
-  ++total_logged_;
-}
-
-void Trail::log_heap_write(std::uint32_t addr, const Value& old_value,
-                           CompCache prior) {
-  affinity_.bind_or_check();
-  Entry e;
-  e.kind = Kind::HeapWrite;
-  e.index = addr;
-  e.old = old_value;
-  e.cache = prior;
-  entries_.push_back(std::move(e));
-  ++total_logged_;
+  path_.insert(path_.end(), path.begin(), path.end());
 }
 
 void Trail::log_heap_alloc(std::uint32_t addr, CompCache prior) {
-  affinity_.bind_or_check();
-  Entry e;
-  e.kind = Kind::HeapAlloc;
+  Entry& e = push(Kind::HeapAlloc);
   e.index = addr;
   e.cache = prior;
-  entries_.push_back(std::move(e));
-  ++total_logged_;
 }
 
 void Trail::log_heap_release(std::uint32_t addr, Value old_value,
                              CompCache prior) {
-  affinity_.bind_or_check();
-  Entry e;
-  e.kind = Kind::HeapRelease;
+  Entry& e = push(Kind::HeapRelease);
   e.index = addr;
   e.old = std::move(old_value);
   e.cache = prior;
-  entries_.push_back(std::move(e));
-  ++total_logged_;
 }
 
 void Trail::undo_to(Mark m, MachineState& state) {
@@ -67,18 +48,34 @@ void Trail::undo_to(Mark m, MachineState& state) {
     Entry& e = entries_.back();
     switch (e.kind) {
       case Kind::Fsm:
-        state.fsm_state = e.fsm_old;
+        state.fsm_state = static_cast<int>(e.index);
         break;
-      case Kind::Var:
-        state.vars[e.index] = std::move(e.old);
-        state.restore_var_cache(static_cast<int>(e.index), e.cache);
-        break;
-      case Kind::HeapWrite: {
-        Value* cell = state.heap.cell(e.index);
-        // The cell must be live: an alloc/release of the same address
+      case Kind::Write: {
+        const bool var = e.root == Root::Var;
+        Value* node = var ? &state.vars[e.index] : state.heap.cell(e.index);
+        // The root must be live: an alloc/release of the same address
         // logged *after* this write has already been undone.
-        if (cell != nullptr) *cell = std::move(e.old);
-        state.restore_heap_cache(e.cache);
+        assert(node != nullptr && "trail write entry on a dead heap cell");
+        const std::size_t first = path_.size() - e.path_len;
+        for (std::size_t i = first; i < path_.size(); ++i) {
+          // A non-aggregate on the path means a write the trail never saw
+          // replaced an ancestor after this entry: an assignment through a
+          // var parameter, whose binding logged that ancestor in an older
+          // entry. Undoing that entry restores the whole subtree, this
+          // write included, so there is nothing to do here.
+          if (node->is_scalar()) {
+            node = nullptr;
+            break;
+          }
+          node = &node->elems()[path_[i]];
+        }
+        if (node != nullptr) *node = std::move(e.old);
+        path_.resize(first);
+        if (var) {
+          state.restore_var_cache(static_cast<int>(e.index), e.cache);
+        } else {
+          state.restore_heap_cache(e.cache);
+        }
         break;
       }
       case Kind::HeapAlloc:

@@ -4,11 +4,16 @@
 // and every subsequent mutation of the machine state pushes one undo entry;
 // *restore* pops entries back to the mark, reverting them in reverse order.
 //
-// Granularity: module variables are logged per top-level slot and heap
-// cells per address (a write through a field/index path captures the whole
-// root value). Interior Value pointers are never stored — an entry is keyed
-// by slot index or heap address, so it survives wholesale reassignment of
-// the value it reverts.
+// Granularity: a write entry names a root (module-variable slot or heap
+// address) and the Field/Index path from that root down to the location
+// written, and holds only that location's old value, so `pend[i] := x`
+// saves one integer, not the 128-slot array. An empty path is a whole-root
+// entry. Interior Value pointers are never stored: undo walks the path
+// again from the root, which is safe because entries are undone newest
+// first, so every later write along the path (a whole-root assignment
+// included) has already been reverted and the structure is the one the
+// entry was logged against. The path indices live in one side array that
+// undo and clear truncate, so an entry costs no allocation of its own.
 //
 // Entries must be undone in exact reverse mutation order; that is what
 // makes the allocate/release entries safe to replay against the std::map
@@ -21,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "runtime/machine.hpp"
@@ -34,12 +40,16 @@ class Trail {
   /// A position in the log; save = mark(), restore = undo_to(mark).
   using Mark = std::size_t;
 
+  /// What a write entry's index names.
+  enum class Root : std::uint8_t { Var, Heap };
+
   [[nodiscard]] Mark mark() const { return entries_.size(); }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  /// Bytes the live entries occupy (entry records; nested record/array
-  /// payloads of saved values not counted).
+  /// Bytes the live log occupies: entry records plus path indices (nested
+  /// record/array payloads of saved values not counted).
   [[nodiscard]] std::size_t bytes() const {
-    return entries_.size() * sizeof(Entry);
+    return entries_.size() * sizeof(Entry) +
+           path_.size() * sizeof(std::uint32_t);
   }
   /// Monotone count of entries ever logged (undo does not decrease it);
   /// feeds the Stats trail-entry counter.
@@ -48,15 +58,16 @@ class Trail {
   /// The FSM state ordinal is about to change. (No cache entry: the FSM
   /// component is never cached — machine.hpp.)
   void log_fsm(int old_state);
-  /// Module variable `slot` is about to be written (whole-slot old value).
-  /// `prior` is the hash-cache entry the write clobbers
-  /// (MachineState::var_cache_entry, captured before the mutation);
-  /// undo_to hands it back so backtracking never rehashes.
-  void log_var(int slot, const Value& old_value, CompCache prior = {});
-  /// Heap cell `addr` is about to be written. `prior` is
-  /// MachineState::heap_cache_entry() captured before the epoch bump.
-  void log_heap_write(std::uint32_t addr, const Value& old_value,
-                      CompCache prior = {});
+  /// The location `path` below root `index` (a module-variable slot or a
+  /// live heap address) is about to be written; `old_value` is its current
+  /// contents. Each path step is an element position: a record's field
+  /// index or an array's zero-based element offset. `prior` is the
+  /// hash-cache entry the write clobbers (MachineState::var_cache_entry,
+  /// or heap_cache_entry() before the epoch bump), captured before the
+  /// mutation; undo_to hands it back so backtracking never rehashes.
+  void log_write(Root root, std::uint32_t index,
+                 std::span<const std::uint32_t> path, const Value& old_value,
+                 CompCache prior = {});
   /// Heap cell `addr` was just allocated (`prior` from before the
   /// allocation).
   void log_heap_alloc(std::uint32_t addr, CompCache prior = {});
@@ -74,26 +85,40 @@ class Trail {
   void clear() {
     affinity_.bind_or_check();
     entries_.clear();
+    path_.clear();
   }
 
  private:
   enum class Kind : std::uint8_t {
     Fsm,
-    Var,
-    HeapWrite,
+    Write,
     HeapAlloc,
     HeapRelease,
   };
 
   struct Entry {
-    Kind kind;
-    int fsm_old = 0;         // Fsm only
-    std::uint32_t index = 0; // var slot or heap address
-    Value old;               // previous contents (unused for Fsm/HeapAlloc)
-    CompCache cache;         // hash-cache entry clobbered by the mutation
+    Kind kind = Kind::Fsm;
+    Root root = Root::Var;        // Write only
+    std::uint16_t path_len = 0;   // Write only: its steps end path_
+    std::uint32_t index = 0;      // var slot, heap address or FSM ordinal
+    Value old;                    // previous contents (Write/HeapRelease)
+    CompCache cache;              // hash-cache entry clobbered by the mutation
   };
+  static_assert(sizeof(Entry) <= 56);
+
+  /// Appends a blank entry of `kind` for the caller to fill in.
+  Entry& push(Kind kind) {
+    affinity_.bind_or_check();
+    ++total_logged_;
+    Entry& e = entries_.emplace_back();
+    e.kind = kind;
+    return e;
+  }
 
   std::vector<Entry> entries_;
+  /// The path steps of every live Write entry, oldest first: undo pops an
+  /// entry's steps off the end together with the entry.
+  std::vector<std::uint32_t> path_;
   std::uint64_t total_logged_ = 0;
   /// Debug-only: a trail belongs to exactly one worker for its whole life
   /// (trails are never snapshotted — only machine states are).

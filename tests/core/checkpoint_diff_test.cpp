@@ -198,7 +198,9 @@ TEST(CheckpointDiff, SameSeedFuzzCampaignsMatchAcrossModes) {
   FuzzConfig config;
   config.seed = 11;
   config.iterations = TANGO_FUZZ_ITERATIONS;
-  config.specs = {"abp", "inres"};
+  // tp0 and lapd hold aggregate variables and heap cells, so their
+  // trail-mode runs log leaf writes below a root as well as whole roots.
+  config.specs = {"abp", "inres", "tp0", "lapd"};
 
   config.checkpoint = core::CheckpointMode::Copy;
   std::ostringstream copy_log;

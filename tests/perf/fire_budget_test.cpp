@@ -62,20 +62,25 @@ namespace tango::core {
 namespace {
 
 // Pinned from the measured counts with about 2% headroom (GCC 12.2,
-// libstdc++, RelWithDebInfo): 2.71 allocations per TE on LAPD, 3.00 on
-// TP0 and 0.81 for the on-line engine's run on LAPD. They were 3.70, 3.31
-// and 1.81 while every when-candidate copied its input event's parameters
-// into a binding of its own, 8.34, 7.69 and 7.44 while every veto
-// formatted its sentence and outputs, frames and firing lists had vectors
-// of their own, and LAPD and TP0 were 15.00 and 10.94 while every read
-// copied its whole aggregate. The on-line run was 2.81 while every fired
-// node, a handing-over one too, allocated a child. The hashed TP0 search
-// makes 2.67 per TE; it made 3.24 while the visited table allocated a
-// node for every fresh state.
-constexpr double kLapdBound = 2.77;
-constexpr double kTp0Bound = 3.07;
-constexpr double kMdfsLapdBound = 0.83;
-constexpr double kTp0HashedBound = 2.72;
+// libstdc++, RelWithDebInfo): 0.09 allocations per TE on LAPD (52 over
+// 603 TE), 1.31 on TP0, 1.67 for the hashed TP0 search and 0.15 for the
+// on-line engine's run on LAPD. The last three were 1.96, 2.67 and 0.81
+// while every write under a live trail mark copied its whole root
+// variable or heap cell onto the trail (LAPD's DFS keeps no live mark
+// there, so it was 0.09 already; its bound and TP0's then stood at 2.77
+// and 3.07, stale by a factor of 30 and 1.6). The hashed TP0 search made
+// 3.24 while the visited table allocated a node for every fresh state.
+// LAPD and TP0 were 3.70 and 3.31 and the on-line run 1.81 while every
+// when-candidate copied its input event's parameters into a binding of
+// its own, 8.34, 7.69 and 7.44 while every veto formatted its sentence
+// and outputs, frames and firing lists had vectors of their own, and
+// LAPD and TP0 were 15.00 and 10.94 while every read copied its whole
+// aggregate. The on-line run was 2.81 while every fired node, a
+// handing-over one too, allocated a child.
+constexpr double kLapdBound = 0.088;
+constexpr double kTp0Bound = 1.34;
+constexpr double kMdfsLapdBound = 0.154;
+constexpr double kTp0HashedBound = 1.71;
 
 struct Budget {
   long allocations = 0;
@@ -87,7 +92,7 @@ struct Budget {
 };
 
 void report(const Budget& b) {
-  std::printf("allocations %ld, TE %llu, per TE %.2f\n", b.allocations,
+  std::printf("allocations %ld, TE %llu, per TE %.3f\n", b.allocations,
               static_cast<unsigned long long>(b.te), b.per_te());
 }
 

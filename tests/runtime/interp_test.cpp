@@ -813,6 +813,196 @@ TEST(InterpRead, SubscriptCallReassigningTheArrayKeepsCopySemantics) {
 }
 
 // ---------------------------------------------------------------------
+// Leaf-level undo: a write under a live trail mark logs the location it
+// overwrites (root plus Field/Index path), and undo walks that path again
+// from the root. Each case fires `t` under a live mark, restores, and
+// expects the state, the allocation cursor and both hashes from before.
+// ---------------------------------------------------------------------
+
+bool same_state(const MachineState& a, const MachineState& b) {
+  if (a.fsm_state != b.fsm_state || a.vars.size() != b.vars.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.vars.size(); ++i) {
+    if (!equals(a.vars[i], b.vars[i], /*undefined_wildcard=*/false)) {
+      return false;
+    }
+  }
+  if (a.heap.live_cells() != b.heap.live_cells()) return false;
+  for (const auto& [addr, value] : a.heap.cells()) {
+    const Heap& other = b.heap;
+    const Value* cell = other.cell(addr);
+    if (cell == nullptr || !equals(value, *cell, false)) return false;
+  }
+  // The allocation cursor: the next new() yields the same address.
+  MachineState x = a;
+  MachineState y = b;
+  return x.heap.allocate(Value{}) == y.heap.allocate(Value{});
+}
+
+/// Fires `t` under a live mark, then restores. Returns the fault the
+/// firing raised ("" if none); `changed` says whether it moved the hash.
+std::string fire_and_restore(Harness& h, bool* changed = nullptr,
+                             std::vector<Value> when_args = {}) {
+  const MachineState before = h.machine;
+  const std::uint64_t pre = h.machine.hash();
+  EXPECT_EQ(h.machine.hash_cached(), pre);  // builds the incremental cache
+  Trail trail;
+  const Trail::Mark mark = trail.mark();
+  std::string fault;
+  try {
+    EXPECT_TRUE(h.interp.fire(h.machine, h.transition("t"), when_args,
+                              h.sink, &trail));
+  } catch (const RuntimeFault& f) {
+    fault = f.what();
+  }
+  if (changed != nullptr) *changed = h.machine.hash() != pre;
+  EXPECT_GT(trail.size(), 0u);
+  trail.undo_to(mark, h.machine);
+  EXPECT_TRUE(same_state(h.machine, before));
+  EXPECT_EQ(h.machine.hash(), pre);
+  EXPECT_EQ(h.machine.hash_cached(), pre);
+  EXPECT_EQ(trail.bytes(), 0u);
+  return fault;
+}
+
+TEST(InterpTrail, SubscriptCallWritingTheSameArray) {
+  // f writes a (a leaf, then the whole array) while a[f] resolves: its
+  // entries are logged after the root a was resolved, and before the
+  // store into a[2] is.
+  Harness h(R"(
+    var a, b: array [1 .. 3] of integer;
+    function f: integer; begin a[2] := 50; a := b; a[1] := 60; f := 2; end;
+    state z;
+    initialize to z begin
+      a[1] := 1; a[2] := 2; a[3] := 3; b[1] := 4; b[2] := 5; b[3] := 6;
+    end;
+    trans from z to z when P.go name t: begin a[f] := 7; end;
+)");
+  bool changed = false;
+  EXPECT_EQ(fire_and_restore(h, &changed), "");
+  EXPECT_TRUE(changed);
+  EXPECT_EQ(h.var("a").elems()[1].scalar(), 2);
+  // Fired for real (no mark), the store lands in the array f left.
+  ASSERT_TRUE(h.fire("t"));
+  EXPECT_EQ(h.var("a").elems()[0].scalar(), 60);
+  EXPECT_EQ(h.var("a").elems()[1].scalar(), 7);
+  EXPECT_EQ(h.var("a").elems()[2].scalar(), 6);
+}
+
+TEST(InterpTrail, VarParamIntoACellTheCalleeDisposes) {
+  // q is bound to c^.next (logged as cell c, field next); cut writes
+  // through q and then disposes c, so undo revives c before walking to
+  // its next field.
+  Harness h(R"(
+    type L = ^N;
+         N = record v: integer; next: L; end;
+    var c, d: L;
+    procedure cut(var q: L); begin q := d; q^.v := 9; dispose(c); end;
+    state z;
+    initialize to z begin
+      new(d); d^.v := 2; d^.next := nil;
+      new(c); c^.v := 1; c^.next := nil;
+    end;
+    trans from z to z when P.go name t: begin cut(c^.next); end;
+)");
+  bool changed = false;
+  EXPECT_EQ(fire_and_restore(h, &changed), "");
+  EXPECT_TRUE(changed);
+  EXPECT_EQ(h.machine.heap.live_cells(), 2u);
+}
+
+TEST(InterpTrail, VarParamIntoARecordTheCalleeReassigns) {
+  // q is bound to r.a[i] (logged as r, path a, i); set writes through q,
+  // then assigns r whole, which undo reverts first. (q dangles once r is
+  // reassigned, so set does not touch it again.)
+  Harness h(R"(
+    type R = record a: array [1 .. 3] of integer; n: integer; end;
+    var r, s: R; i: integer;
+    procedure set(var q: integer); begin q := 5; r := s; r.n := 4; end;
+    state z;
+    initialize to z begin
+      i := 2; r.a[1] := 1; r.a[2] := 2; r.a[3] := 3; r.n := 0;
+      s.a[1] := 7; s.a[2] := 8; s.a[3] := 9; s.n := 1;
+    end;
+    trans from z to z when P.go name t: begin set(r.a[i]); end;
+)");
+  bool changed = false;
+  EXPECT_EQ(fire_and_restore(h, &changed), "");
+  EXPECT_TRUE(changed);
+  EXPECT_EQ(h.var("r").elems()[0].elems()[1].scalar(), 2);
+}
+
+TEST(InterpTrail, VarParamReplacedByAnUndefinedRecord) {
+  // q is bound to r.a (logged as r, path a). r.a.f := 5 is logged below
+  // it; then q := u stores a partial trace's undefined record through q,
+  // unlogged. Undoing r.a.f finds no record on its path and skips; the
+  // binding's entry restores r.a whole.
+  Harness h(R"(
+    type E = record f: integer; g: integer; end;
+         R = record a: E; n: integer; end;
+    var r: R;
+    procedure clobber(var q: E; u: E); begin r.a.f := 5; q := u; end;
+    state z;
+    initialize to z begin r.a.f := 1; r.a.g := 2; r.n := 3; end;
+    trans from z to z when P.s name t: begin clobber(r.a, w); end;
+)",
+            EvalMode::Partial, "s(w: E);");
+  bool changed = false;
+  EXPECT_EQ(fire_and_restore(h, &changed, {Value{}}), "");
+  EXPECT_TRUE(changed);
+  EXPECT_EQ(h.var("r").elems()[0].elems()[0].scalar(), 1);
+}
+
+TEST(InterpTrail, ThreeLevelWritesInAVariableAndACell) {
+  Harness h(R"(
+    type E = record f: integer; g: integer; end;
+         R = record a: array [1 .. 3] of E; end;
+         P = ^R;
+    var r: R; p: P; i: integer;
+    state z;
+    initialize to z begin
+      i := 3;
+      for i := 1 to 3 do begin r.a[i].f := i; r.a[i].g := 10 * i; end;
+      new(p); p^ := r;
+    end;
+    trans from z to z when P.go name t: begin
+      r.a[i].f := 30; r.a[2].g := 21; r.a[i].f := 31;
+      p^.a[1].g := 11; p^.a[i] := r.a[2]; p^.a[i].f := 32;
+    end;
+)");
+  bool changed = false;
+  EXPECT_EQ(fire_and_restore(h, &changed), "");
+  EXPECT_TRUE(changed);
+}
+
+TEST(InterpTrail, IndexFaultAfterTheRootResolved) {
+  // The root is resolved (and its hash component dirtied) before the
+  // subscript is range-checked; the fault then leaves nothing to log for
+  // that store, and the earlier stores of the firing still restore.
+  for (const char* store : {"a[i] := 1;", "p^[i] := 1;", "r.b[i] := 1;"}) {
+    SCOPED_TRACE(store);
+    Harness h(std::string(R"(
+      type Row = array [1 .. 3] of integer;
+           P = ^Row;
+           R = record n: integer; b: Row; end;
+      var a: Row; p: P; r: R; i, x: integer;
+      state z;
+      initialize to z begin
+        i := 4; x := 0; a[1] := 1; r.n := 1; new(p); p^ := a;
+      end;
+      trans from z to z when P.go name t: begin
+        x := 5; a[2] := 6; r.n := 2; p^[1] := 7; )") +
+              store + " end;\n");
+    bool changed = false;
+    EXPECT_NE(fire_and_restore(h, &changed).find("array index 4 out of "
+                                                 "bounds 1..3"),
+              std::string::npos);
+    EXPECT_TRUE(changed);
+  }
+}
+
+// ---------------------------------------------------------------------
 // Reused storage: frames take the Interp's slot buffers by live count and
 // outputs evaluate onto its argument stack. These cases fail when a frame
 // shares a buffer with another live frame, or when a buffer or the stack
